@@ -246,9 +246,6 @@ class CoordDomain:
     def size(self) -> int:
         return len(self.active)
 
-    def is_full(self) -> bool:
-        return self.size == self.parent_dim
-
     def contains(self, other: "CoordDomain") -> bool:
         return other.parent_dim == self.parent_dim and set(other.active) <= set(self.active)
 
@@ -350,23 +347,3 @@ def match_pm(x: BitVector, y: TernaryPattern) -> bool:
 def subset_of(x: BitVector, y: BitVector) -> bool:
     """True iff every set coordinate of x is set in y."""
     return x.subset_of(y)
-
-
-def xor(x: BitVector, z: BitVector) -> BitVector:
-    return x ^ z
-
-
-def bit_and(x: BitVector, z: BitVector) -> BitVector:
-    return x & z
-
-
-def union(x: BitVector, z: BitVector) -> BitVector:
-    return x | z
-
-
-def diff(x: BitVector, z: BitVector) -> BitVector:
-    return x.diff(z)
-
-
-def restrict(x, dom: CoordDomain):
-    return x.restrict(dom)

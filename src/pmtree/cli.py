@@ -5,23 +5,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import struct
 import sys
 
 from . import acceptance
 from .bits import BitVector, Dataset, TernaryPattern, load_pm_queries, load_sq_queries, save_queries
-from .compiler import (
-    load_tree,
-    preprocess,
-    query,
-    save_tree,
-    serialize,
-)
+from .compiler import TreeError, load_tree, preprocess, query, save_tree, serialize
 from .disjointness import StdParams, fix_randomness, uniform_size_dataset
 from .dist import EmpiricalDistribution
 from .engine import ProtocolParams, RandomTape, Stream, Tapes, derive_params
 from .generators import gen_planted, gen_random_sq, nonmatching_pm_queries
-from .oracles import accept_rate, brute_force_pm, brute_force_sq
+from .oracles import accept_rate
 from .pm_protocol import run_pm
 from .presets import desk_params
 from .reports import Report, loglog_slope, mean, stderr_of_mean
@@ -398,7 +392,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError, TreeError, struct.error) as exc:
         if getattr(args, "json", False):
             print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
         else:

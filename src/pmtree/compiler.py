@@ -27,30 +27,37 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 from . import base_protocol as bp
 from .bits import BitVector, CoordDomain, Dataset, TernaryPattern, match_pm, subset_of
-from .dist import EMPTY_SUPPORT, EmpiricalDistribution
+from .dist import EmpiricalDistribution
 from .engine import (
     BIG,
     CONTINUE,
-    OUT0,
     SMALL,
     STATUS_WIDTH,
     ProtocolParams,
-    RandomTape,
-    Stream,
     Tapes,
+    Transcript,
     index_width,
 )
 from .pm_protocol import (
+    near_match_index,
     pm_gap,
     pm_halving_count,
     pm_round_samples,
-    unmatched_count,
+    shift_params,
+    shifted_pattern,
 )
-from .sq_protocol import halving_count
+from .sq_protocol import (
+    draw_conditioned_batch,
+    halved_params,
+    halving_count,
+    near_subset_index,
+    overflow_key,
+    pick_half,
+)
 
 PM_PROTOCOL = "pm"
 SQ_PROTOCOL = "sq"
@@ -157,11 +164,6 @@ class ProtocolTree:
     meta: TreeMeta
     dataset: Dataset
 
-    def fingerprint(self) -> bytes:
-        import hashlib
-
-        return hashlib.sha256(serialize(self)).digest()
-
 
 class _Budget:
     def __init__(self, ceiling: int):
@@ -191,12 +193,13 @@ class _Ctx:
     budget: _Budget
     depth: int
 
-    def fork(self, dist=None) -> "_Ctx":
+    def fork(self, dist=None, levels: int = 1) -> "_Ctx":
+        """A context for a node the given number of levels further down."""
         return _Ctx(
             dist if dist is not None else self.dist,
             self.tapes.clone(),
             self.budget,
-            self.depth + 1,
+            self.depth + levels,
         )
 
 
@@ -251,6 +254,14 @@ def _leaf_maker(ctx: _Ctx, cohort: Cohort):
 # ---------------------------------------------------------------------------
 
 
+def _emit(ctx: _Ctx, depth: int, cls, site: str, children: dict):
+    """cls(site, children), counted at depth; None when no branch survived."""
+    if not children:
+        return None
+    ctx.budget.note(depth, len(children))
+    return cls(site, children)
+
+
 def _build_base(
     ctx: _Ctx,
     mode: str,
@@ -276,25 +287,11 @@ def _build_base(
         groups: dict[int, Cohort] = {}
         for idx, xval in cohort:
             groups.setdefault(bp.parity_vector(xval, rs), []).append((idx, xval))
-        alice_children: dict[tuple[int, int], object] = {}
-        for a in sorted(groups):
-            leaf_ctx = ctx.fork()
-            leaf_ctx.depth += 3  # below merlin, carol, alice, bob
-            leaf = cont(leaf_ctx, groups[a])
-            if leaf is None:
-                continue
-            bob = BobNode("base-recon-parities", {(t, a): leaf})
-            ctx.budget.note(ctx.depth + 3, 1)
-            alice_children[(t, a)] = bob
-        if not alice_children:
+        carol = _build_parities(ctx, d, rs, groups, AliceNode, BobNode, cont)
+        if carol is None:
             return None
-        alice = AliceNode("base-point-parities", alice_children)
-        ctx.budget.note(ctx.depth + 2, len(alice_children))
-        carol = CarolNode("base-parity-vecs", d, rs, True, alice)
-        ctx.budget.note(ctx.depth + 1, 1)
-        node = MerlinDeferred(mode, z, carol)
         ctx.budget.note(ctx.depth, 1)
-        return node
+        return MerlinDeferred(mode, z, carol)
 
     # Swapped wiring: enumerate every advice value some point could make true,
     # i.e. the ranks of all small subsets of each point's decode base.
@@ -316,28 +313,32 @@ def _build_base(
             except bp.DecodeError:
                 recon = bp.decode_failed_sentinel(d)
             groups.setdefault(bp.parity_vector(recon, rs), []).append((idx, recon_base))
-        bob_children: dict[tuple[int, int], object] = {}
-        for b in sorted(groups):
-            leaf_ctx = ctx.fork()
-            leaf_ctx.depth += 3
-            leaf = cont(leaf_ctx, groups[b])
-            if leaf is None:
-                continue
-            alice = AliceNode("base-recon-parities", {(t, b): leaf})
-            ctx.budget.note(ctx.depth + 3, 1)
-            bob_children[(t, b)] = alice
-        if not bob_children:
-            continue
-        bob = BobNode("base-point-parities", bob_children)
-        ctx.budget.note(ctx.depth + 2, len(bob_children))
-        carol = CarolNode("base-parity-vecs", d, rs, True, bob)
-        ctx.budget.note(ctx.depth + 1, 1)
-        merlin_children[(width, m)] = carol
+        carol = _build_parities(ctx, d, rs, groups, BobNode, AliceNode, cont)
+        if carol is not None:
+            merlin_children[(width, m)] = carol
     if not merlin_children:
         return None
     node = MerlinExplicit(bp.SQ, z, w, merlin_children)
     ctx.budget.note(ctx.depth, len(merlin_children))
     return node
+
+
+def _build_parities(ctx: _Ctx, d: int, rs, groups: dict[int, Cohort], point_cls, recon_cls, cont):
+    """The stored parity vectors rs, then the point side's parities: per value,
+    the equal reconstruction parities and the sub-tree of its group."""
+    t = len(rs)
+    children: dict[tuple[int, int], object] = {}
+    for a in sorted(groups):
+        # below merlin, carol, point and reconstruction parities
+        leaf = cont(ctx.fork(levels=4), groups[a])
+        if leaf is not None:
+            recon = {(t, a): leaf}
+            children[(t, a)] = _emit(ctx, ctx.depth + 3, recon_cls, "base-recon-parities", recon)
+    point = _emit(ctx, ctx.depth + 2, point_cls, "base-point-parities", children)
+    if point is None:
+        return None
+    ctx.budget.note(ctx.depth + 1, 1)
+    return CarolNode("base-parity-vecs", d, rs, True, point)
 
 
 def _build_sq(ctx: _Ctx, params: ProtocolParams, cohort: Cohort, cont):
@@ -353,20 +354,13 @@ def _build_sq(ctx: _Ctx, params: ProtocolParams, cohort: Cohort, cont):
         sub = _build_base(ctx.fork(), bp.SQ, small, w, w, params.delta_prime, cont)
         if sub is None:
             return None
-        node = AliceNode("sq-status", {(STATUS_WIDTH, SMALL): sub})
-        ctx.budget.note(ctx.depth, 1)
-        return node
+        return _emit(ctx, ctx.depth, AliceNode, "sq-status", {(STATUS_WIDTH, SMALL): sub})
 
     return _build_sq_iter(ctx, params, cohort, float(w), 0, cont)
 
 
 def _build_sq_iter(
-    ctx: _Ctx,
-    params: ProtocolParams,
-    cohort: Cohort,
-    w_cur: float,
-    iteration: int,
-    cont,
+    ctx: _Ctx, params: ProtocolParams, cohort: Cohort, w_cur: float, iteration: int, cont
 ):
     if not cohort:
         return None
@@ -374,75 +368,41 @@ def _build_sq_iter(
         return None  # unreachable with faithful parameters
     w = params.w
     ell = params.ell
-    t = params.t
-    h = params.h
 
     small = [(i, x) for i, x in cohort if x.popcount() <= w / ell]
-    window = [
-        (i, x) for i, x in cohort if w / ell < x.popcount() <= w_cur
-    ]
+    window = [(i, x) for i, x in cohort if w / ell < x.popcount() <= w_cur]
 
     children: dict[tuple[int, int], object] = {}
 
     if small:
-        sub = _build_base(
-            ctx.fork(), bp.SQ, small, w / ell, w, params.delta_prime, cont
-        )
+        sub = _build_base(ctx.fork(), bp.SQ, small, w / ell, w, params.delta_prime, cont)
         if sub is not None:
             children[(STATUS_WIDTH, SMALL)] = sub
 
     if window:
         big_ctx = ctx.fork()
-        batch = _draw_batch_conditioned(big_ctx, w / ell, w_cur, t)
+        batch = draw_conditioned_batch(
+            big_ctx.dist, w / ell, w_cur, params.t, big_ctx.tapes.pub, Transcript()
+        )
         if batch is not None:
-            carol_child = _build_sq_after_batch(
-                big_ctx, params, window, w_cur, iteration, batch, cont
-            )
-            if carol_child is not None:
-                carol = CarolNode(
-                    "sq-cond-batch", big_ctx.dist.dim, tuple(batch), False, carol_child
-                )
+            tag = _build_sq_after_batch(big_ctx, params, window, w_cur, iteration, batch, cont)
+            if tag is not None:
                 ctx.budget.note(ctx.depth + 1, 1)
+                carol = CarolNode("sq-cond-batch", big_ctx.dist.dim, tuple(batch), False, tag)
                 children[(STATUS_WIDTH, BIG)] = carol
 
-    if not children:
-        return None
-    node = AliceNode("sq-status", children)
-    ctx.budget.note(ctx.depth, len(children))
-    return node
-
-
-def _draw_batch_conditioned(ctx: _Ctx, lo: float, hi: float, t: int):
-    first = ctx.dist.sample_size_conditioned(lo, hi, ctx.tapes.pub)
-    if first is EMPTY_SUPPORT:
-        return None
-    batch = [first]
-    for _ in range(t - 1):
-        batch.append(ctx.dist.sample_size_conditioned(lo, hi, ctx.tapes.pub))
-    return batch
+    return _emit(ctx, ctx.depth, AliceNode, "sq-status", children)
 
 
 def _build_sq_after_batch(
-    ctx: _Ctx,
-    params: ProtocolParams,
-    cohort: Cohort,
-    w_cur: float,
-    iteration: int,
-    batch: list[BitVector],
-    cont,
+    ctx: _Ctx, params: ProtocolParams, cohort: Cohort, w_cur: float, iteration: int, batch, cont
 ):
-    t = params.t
     h = params.h
-    w = params.w
-    ell = params.ell
-    iw = index_width(t)
-
     tag_children: dict[tuple[int, int], object] = {}
 
     # Query found a near-subset sample: fork over every (index, overflow rank).
     pair_children: dict[tuple[int, int], object] = {}
     for istar, xi in enumerate(batch):
-        rw = bp.sq_advice_width(xi.popcount(), math.floor(h))
         count = bp.subset_count(xi.popcount(), math.floor(h))
         for rank in range(count):
             overflow = bp.unrank_subset(xi, rank, math.floor(h))
@@ -452,72 +412,59 @@ def _build_sq_after_batch(
             shed = xi.popcount() - overflow.popcount()
             keep = xi.complement()
             dom = CoordDomain.full(keep.dim).select(keep)
-            sub_ctx = ctx.fork(ctx.dist.restrict_relative(keep))
-            sub_ctx.depth += 3
+            sub_ctx = ctx.fork(ctx.dist.restrict_relative(keep), levels=4)
             shrunk = [(i, x.restrict(dom)) for i, x in survivors]
-            sub = _build_sq_iter(
-                sub_ctx, params, shrunk, w_cur - shed, iteration + 1, cont
-            )
-            if sub is None:
-                continue
-            alice = AliceNode("sq-overlap-tag", {(STATUS_WIDTH, CONTINUE): sub})
-            ctx.budget.note(ctx.depth + 3, 1)
-            pair_children[(iw + rw, istar | (rank << iw))] = alice
-    if pair_children:
-        pairs = BobNode("sq-xi-index-rank", pair_children)
-        ctx.budget.note(ctx.depth + 2, len(pair_children))
+            sub = _build_sq_iter(sub_ctx, params, shrunk, w_cur - shed, iteration + 1, cont)
+            if sub is not None:
+                pair_children[overflow_key(istar, params.t, xi, rank, h)] = _emit(
+                    ctx, ctx.depth + 3, AliceNode, "sq-overlap-tag", {(STATUS_WIDTH, CONTINUE): sub}
+                )
+    pairs = _emit(ctx, ctx.depth + 2, BobNode, "sq-xi-index-rank", pair_children)
+    if pairs is not None:
         tag_children[(STATUS_WIDTH, CONTINUE)] = pairs
 
-    # No near-subset sample: halving sets, then accept or recurse.
-    none_ctx = ctx.fork()
-    none_ctx.depth += 1
-    n_halving = halving_count(ell, params.delta_prime)
+    # No near-subset sample: the halving step.
+    n_halving = halving_count(params.ell, params.delta_prime)
+    halving = _build_halving(ctx, params, cohort, w_cur, n_halving, SQ_PROTOCOL, _build_sq, cont)
+    if halving is not None:
+        tag_children[(STATUS_WIDTH, BIG)] = halving
+    return _emit(ctx, ctx.depth + 1, BobNode, "sq-xi-tag", tag_children)
+
+
+def _build_halving(
+    ctx: _Ctx, params: ProtocolParams, cohort: Cohort, w_cur: float, n_halving: int, prefix: str,
+    recurse, cont,
+):
+    """The halving step below a "no near sample" announcement: store the
+    drawn sets, the accept branch and, per set, the sub-problem on the kept
+    coordinates, built by recurse(ctx, params, cohort, cont)."""
+    none_ctx = ctx.fork(levels=2)
     dim = none_ctx.dist.dim
     halves = tuple(none_ctx.tapes.pub.draw_vector(dim) for _ in range(n_halving))
     halving_children: dict[tuple[int, int], object] = {}
-    accept_ctx = none_ctx.fork()
-    accept_ctx.depth += 1
-    accept = cont(accept_ctx, list(cohort))
+    accept = cont(none_ctx.fork(levels=2), list(cohort))
     if accept is not None:
         halving_children[(STATUS_WIDTH, BIG)] = accept
     jw = index_width(n_halving)
     j_children: dict[tuple[int, int], object] = {}
     for j, keep in enumerate(halves):
         if keep.popcount() == 0:
-            flat_ctx = none_ctx.fork()
-            flat_ctx.depth += 2
-            sub = cont(flat_ctx, list(cohort))
+            sub = cont(none_ctx.fork(levels=3), list(cohort))
         else:
             dom = CoordDomain.full(dim).select(keep)
-            sub_ctx = none_ctx.fork(none_ctx.dist.restrict_relative(keep))
-            sub_ctx.depth += 2
+            sub_ctx = none_ctx.fork(none_ctx.dist.restrict_relative(keep), levels=3)
             shrunk = [(i, x.restrict(dom)) for i, x in cohort]
-            sub_params = replace(
-                params,
-                d=dom.size,
-                w=max(1.0, 2.0 * w_cur / 3.0),
-                eps=params.eps / 2.0,
-                delta=params.delta_prime,
-            )
-            sub = _build_sq(sub_ctx, sub_params, shrunk, cont)
+            sub = recurse(sub_ctx, halved_params(params, dom.size, w_cur), shrunk, cont)
         if sub is not None:
             j_children[(jw, j)] = sub
-    if j_children:
-        jnode = BobNode("sq-half-index", j_children)
-        none_ctx.budget.note(none_ctx.depth + 2, len(j_children))
+    jnode = _emit(none_ctx, none_ctx.depth + 2, BobNode, prefix + "-half-index", j_children)
+    if jnode is not None:
         halving_children[(STATUS_WIDTH, CONTINUE)] = jnode
-    if halving_children:
-        htag = BobNode("sq-halving-tag", halving_children)
-        none_ctx.budget.note(none_ctx.depth + 1, len(halving_children))
-        carol = CarolNode("sq-halving-sets", dim, halves, False, htag)
-        none_ctx.budget.note(none_ctx.depth, 1)
-        tag_children[(STATUS_WIDTH, BIG)] = carol
-
-    if not tag_children:
+    htag = _emit(none_ctx, none_ctx.depth + 1, BobNode, prefix + "-halving-tag", halving_children)
+    if htag is None:
         return None
-    node = BobNode("sq-xi-tag", tag_children)
-    ctx.budget.note(ctx.depth + 1, len(tag_children))
-    return node
+    none_ctx.budget.note(none_ctx.depth, 1)
+    return CarolNode(prefix + "-halving-sets", dim, halves, False, htag)
 
 
 def _build_pm(ctx: _Ctx, params: ProtocolParams, cohort: Cohort, cont):
@@ -533,6 +480,7 @@ def _build_pm(ctx: _Ctx, params: ProtocolParams, cohort: Cohort, cont):
 
     t = pm_round_samples(params)
     h = pm_gap(params)
+    sub_sq = shift_params(params, h)
     batch = tuple(ctx.dist.sample(ctx.tapes.pub) for _ in range(t))
     iw = index_width(t)
 
@@ -542,84 +490,37 @@ def _build_pm(ctx: _Ctx, params: ProtocolParams, cohort: Cohort, cont):
     idx_children: dict[tuple[int, int], object] = {}
     for istar, xi in enumerate(batch):
         shifted = [(i, x ^ xi) for i, x in cohort]
-        light = [(i, xs) for i, xs in shifted if xs.popcount() <= w + h]
+        light = [(i, xs) for i, xs in shifted if xs.popcount() <= sub_sq.w]
         if not light:
             continue
-        shift_map = dict(light)
-        sub_sq = replace(
-            params, w=w + h, eps=params.eps / 10.0, delta=params.delta / 10.0
-        )
 
-        def cont_reverse(ctx2: _Ctx, pts: Cohort, _map=shift_map, _h=h, _w=w + h, _dsub=params.delta / 10.0):
+        def cont_reverse(ctx2: _Ctx, pts: Cohort, _map=dict(light)):
             recon_cohort = [(i, _map[i]) for i, _ in pts]
             return _build_base(
-                ctx2, bp.SQ, recon_cohort, _h, _w, _dsub, cont, swapped=True
+                ctx2, bp.SQ, recon_cohort, h, sub_sq.w, sub_sq.delta, cont, swapped=True
             )
 
-        sub_ctx = ctx.fork(ctx.dist.xor_shift(xi))
-        sub_ctx.depth += 3
+        sub_ctx = ctx.fork(ctx.dist.xor_shift(xi), levels=4)
         sub = _build_sq(sub_ctx, sub_sq, light, cont_reverse)
-        if sub is None:
-            continue
-        gate = AliceNode("pm-shift-tag", {(STATUS_WIDTH, CONTINUE): sub})
-        ctx.budget.note(ctx.depth + 3, 1)
-        idx_children[(iw, istar)] = gate
-    if idx_children:
-        idx_node = BobNode("pm-xi-index", idx_children)
-        ctx.budget.note(ctx.depth + 2, len(idx_children))
+        if sub is not None:
+            idx_children[(iw, istar)] = _emit(
+                ctx, ctx.depth + 3, AliceNode, "pm-shift-tag", {(STATUS_WIDTH, CONTINUE): sub}
+            )
+    idx_node = _emit(ctx, ctx.depth + 2, BobNode, "pm-xi-index", idx_children)
+    if idx_node is not None:
         tag_children[(STATUS_WIDTH, CONTINUE)] = idx_node
 
-    # No near-match: halving sets, then accept or recurse on the kept half.
-    none_ctx = ctx.fork()
-    none_ctx.depth += 1
+    # No near-match: the halving step.
     n_halving = pm_halving_count(params.delta)
-    halves = tuple(none_ctx.tapes.pub.draw_vector(d) for _ in range(n_halving))
-    halving_children: dict[tuple[int, int], object] = {}
-    accept_ctx = none_ctx.fork()
-    accept_ctx.depth += 1
-    accept = cont(accept_ctx, list(cohort))
-    if accept is not None:
-        halving_children[(STATUS_WIDTH, BIG)] = accept
-    jw = index_width(n_halving)
-    j_children: dict[tuple[int, int], object] = {}
-    for j, keep in enumerate(halves):
-        if keep.popcount() == 0:
-            flat_ctx = none_ctx.fork()
-            flat_ctx.depth += 2
-            sub = cont(flat_ctx, list(cohort))
-        else:
-            dom = CoordDomain.full(d).select(keep)
-            sub_ctx = none_ctx.fork(none_ctx.dist.restrict_relative(keep))
-            sub_ctx.depth += 2
-            shrunk = [(i, x.restrict(dom)) for i, x in cohort]
-            sub_params = replace(
-                params,
-                d=dom.size,
-                w=max(1.0, 2.0 * params.w / 3.0),
-                eps=params.eps / 2.0,
-                delta=params.delta / 10.0,
-            )
-            sub = _build_pm(sub_ctx, sub_params, shrunk, cont)
-        if sub is not None:
-            j_children[(jw, j)] = sub
-    if j_children:
-        jnode = BobNode("pm-half-index", j_children)
-        none_ctx.budget.note(none_ctx.depth + 2, len(j_children))
-        halving_children[(STATUS_WIDTH, CONTINUE)] = jnode
-    if halving_children:
-        htag = BobNode("pm-halving-tag", halving_children)
-        none_ctx.budget.note(none_ctx.depth + 1, len(halving_children))
-        carol = CarolNode("pm-halving-sets", d, halves, False, htag)
-        none_ctx.budget.note(none_ctx.depth, 1)
-        tag_children[(STATUS_WIDTH, BIG)] = carol
+    halving = _build_halving(ctx, params, cohort, w, n_halving, PM_PROTOCOL, _build_pm, cont)
+    if halving is not None:
+        tag_children[(STATUS_WIDTH, BIG)] = halving
 
-    if not tag_children:
+    tag_node = _emit(ctx, ctx.depth + 1, BobNode, "pm-xi-tag", tag_children)
+    if tag_node is None:
         return None
-    tag_node = BobNode("pm-xi-tag", tag_children)
-    ctx.budget.note(ctx.depth + 1, len(tag_children))
-    carol = CarolNode("pm-batch", d, batch, False, tag_node)
     ctx.budget.note(ctx.depth, 1)
-    return carol
+    return CarolNode("pm-batch", d, batch, False, tag_node)
 
 
 # ---------------------------------------------------------------------------
@@ -801,16 +702,32 @@ def _reduces_to_zero(basis: list[int], target: int) -> bool:
     return target == 0
 
 
+def _expect(node, kind, site: str, what: str):
+    if not isinstance(node, kind) or node.site != site:
+        raise TreeError(f"expected {what}")
+    return node
+
+
+def _step(walk: _Walk, node, key: tuple[int, int], kind=None, site: str = "", what: str = ""):
+    """The child stored under the message key, or None when no point sent
+    it. Following it charges the message's bits; when kind is given, the
+    child must be a node of that kind at that site."""
+    child = node.children.get(key)
+    if child is not None:
+        walk.bits_walked += key[0]
+        if kind is not None:
+            _expect(child, kind, site, what)
+    return child
+
+
 def _walk_sq(walk: _Walk, node, params: ProtocolParams, y: BitVector, cont) -> None:
     if params.d != y.dim:
         params = params.with_dim(y.dim)
     w = params.w
     if params.is_base_case():
-        if not isinstance(node, AliceNode) or node.site != "sq-status":
-            raise TreeError("expected the size announcement")
-        sub = node.children.get((STATUS_WIDTH, SMALL))
+        _expect(node, AliceNode, "sq-status", "the size announcement")
+        sub = _step(walk, node, (STATUS_WIDTH, SMALL))
         if sub is not None:
-            walk.bits_walked += STATUS_WIDTH
             _walk_base(walk, sub, y, w, w, bp.SQ, False, cont)
         return
     _walk_sq_iter(walk, node, params, y, float(w), 0, cont)
@@ -824,105 +741,82 @@ def _walk_sq_iter(
     w = params.w
     ell = params.ell
     h = params.h
-    t = params.t
-    if not isinstance(node, AliceNode) or node.site != "sq-status":
-        raise TreeError("expected the size announcement")
+    _expect(node, AliceNode, "sq-status", "the size announcement")
 
-    small = node.children.get((STATUS_WIDTH, SMALL))
+    small = _step(walk, node, (STATUS_WIDTH, SMALL))
     if small is not None:
-        walk.bits_walked += STATUS_WIDTH
         _walk_base(walk, small, y_cur, w / ell, w, bp.SQ, False, cont)
 
-    big = node.children.get((STATUS_WIDTH, BIG))
+    big = _step(
+        walk, node, (STATUS_WIDTH, BIG), CarolNode, "sq-cond-batch", "the conditioned sample batch"
+    )
     if big is None:
         return
-    walk.bits_walked += STATUS_WIDTH
-    if not isinstance(big, CarolNode) or big.site != "sq-cond-batch":
-        raise TreeError("expected the conditioned sample batch")
     batch = big.vectors
     walk.bits_walked += big.dim * len(batch)
-    tag_node = big.child
-    if not isinstance(tag_node, BobNode) or tag_node.site != "sq-xi-tag":
-        raise TreeError("expected the near-subset announcement")
+    tag_node = _expect(big.child, BobNode, "sq-xi-tag", "the near-subset announcement")
 
-    istar = next(
-        (i for i, xi in enumerate(batch) if xi.diff(y_cur).popcount() <= h), None
-    )
-    if istar is not None:
-        sub = tag_node.children.get((STATUS_WIDTH, CONTINUE))
-        if sub is None:
-            return
-        walk.bits_walked += STATUS_WIDTH
-        if not isinstance(sub, BobNode) or sub.site != "sq-xi-index-rank":
-            raise TreeError("expected the sample index message")
-        xi = batch[istar]
-        overflow = xi.diff(y_cur)
-        iw = index_width(t)
-        rw = bp.sq_advice_width(xi.popcount(), math.floor(h))
-        rank = bp.rank_subset(xi, overflow, math.floor(h))
-        child = sub.children.get((iw + rw, istar | (rank << iw)))
-        if child is None:
-            return
-        walk.bits_walked += iw + rw
-        if not isinstance(child, AliceNode) or child.site != "sq-overlap-tag":
-            raise TreeError("expected the overlap announcement")
-        onward = child.children.get((STATUS_WIDTH, CONTINUE))
-        if onward is None:
-            return
-        walk.bits_walked += STATUS_WIDTH
-        keep = xi.complement()
-        dom = CoordDomain.full(keep.dim).select(keep)
-        shed = xi.popcount() - overflow.popcount()
-        _walk_sq_iter(
-            walk, onward, params, y_cur.restrict(dom), w_cur - shed, iteration + 1, cont
-        )
+    istar = near_subset_index(batch, y_cur, h)
+    if istar is None:
+        mask = y_cur.value
+        _walk_halving(walk, tag_node, params, y_cur, mask, w_cur, SQ_PROTOCOL, _walk_sq, cont)
         return
-
-    sub = tag_node.children.get((STATUS_WIDTH, BIG))
+    sub = _step(
+        walk, tag_node, (STATUS_WIDTH, CONTINUE), BobNode, "sq-xi-index-rank",
+        "the sample index message",
+    )
     if sub is None:
         return
-    walk.bits_walked += STATUS_WIDTH
-    if not isinstance(sub, CarolNode) or sub.site != "sq-halving-sets":
-        raise TreeError("expected the halving sets")
-    halves = sub.vectors
-    walk.bits_walked += sub.dim * len(halves)
-    htag = sub.child
-    if not isinstance(htag, BobNode) or htag.site != "sq-halving-tag":
-        raise TreeError("expected the halving announcement")
-    jstar = next(
-        (j for j, s in enumerate(halves) if (y_cur & s).popcount() <= 2.0 * w_cur / 3.0),
-        None,
-    )
-    if jstar is None:
-        accept = htag.children.get((STATUS_WIDTH, BIG))
-        if accept is not None:
-            walk.bits_walked += STATUS_WIDTH
-            cont(walk, accept)
-        return
-    jnode = htag.children.get((STATUS_WIDTH, CONTINUE))
-    if jnode is None:
-        return
-    walk.bits_walked += STATUS_WIDTH
-    if not isinstance(jnode, BobNode) or jnode.site != "sq-half-index":
-        raise TreeError("expected the halving index")
-    jw = index_width(len(halves))
-    child = jnode.children.get((jw, jstar))
+    xi = batch[istar]
+    overflow = xi.diff(y_cur)
+    rank = bp.rank_subset(xi, overflow, math.floor(h))
+    key = overflow_key(istar, params.t, xi, rank, h)
+    child = _step(walk, sub, key, AliceNode, "sq-overlap-tag", "the overlap announcement")
     if child is None:
         return
-    walk.bits_walked += jw
+    onward = _step(walk, child, (STATUS_WIDTH, CONTINUE))
+    if onward is None:
+        return
+    keep = xi.complement()
+    dom = CoordDomain.full(keep.dim).select(keep)
+    shed = xi.popcount() - overflow.popcount()
+    _walk_sq_iter(walk, onward, params, y_cur.restrict(dom), w_cur - shed, iteration + 1, cont)
+
+
+def _walk_halving(
+    walk: _Walk, tag_node, params: ProtocolParams, y, mask: int, w_cur: float, prefix: str,
+    recurse, cont,
+) -> None:
+    """Follow the halving step below a "no near sample" announcement; a kept
+    set continues as recurse(walk, node, params, y, cont)."""
+    sets = _step(
+        walk, tag_node, (STATUS_WIDTH, BIG), CarolNode, prefix + "-halving-sets", "the halving sets"
+    )
+    if sets is None:
+        return
+    halves = sets.vectors
+    walk.bits_walked += sets.dim * len(halves)
+    htag = _expect(sets.child, BobNode, prefix + "-halving-tag", "the halving announcement")
+    jstar = pick_half(halves, mask, w_cur)
+    if jstar is None:
+        accept = _step(walk, htag, (STATUS_WIDTH, BIG))
+        if accept is not None:
+            cont(walk, accept)
+        return
+    jnode = _step(
+        walk, htag, (STATUS_WIDTH, CONTINUE), BobNode, prefix + "-half-index", "the halving index"
+    )
+    if jnode is None:
+        return
+    child = _step(walk, jnode, (index_width(len(halves)), jstar))
+    if child is None:
+        return
     keep = halves[jstar]
     if keep.popcount() == 0:
         cont(walk, child)
         return
     dom = CoordDomain.full(keep.dim).select(keep)
-    sub_params = replace(
-        params,
-        d=dom.size,
-        w=max(1.0, 2.0 * w_cur / 3.0),
-        eps=params.eps / 2.0,
-        delta=params.delta_prime,
-    )
-    _walk_sq(walk, child, sub_params, y_cur.restrict(dom), cont)
+    recurse(walk, child, halved_params(params, dom.size, w_cur), y.restrict(dom), cont)
 
 
 def _walk_pm(walk: _Walk, node, params: ProtocolParams, y: TernaryPattern, cont) -> None:
@@ -933,99 +827,38 @@ def _walk_pm(walk: _Walk, node, params: ProtocolParams, y: TernaryPattern, cont)
         _walk_base(walk, node, y, w, w, bp.PM, False, cont)
         return
 
-    t = pm_round_samples(params)
     h = pm_gap(params)
-    if not isinstance(node, CarolNode) or node.site != "pm-batch":
-        raise TreeError("expected the near-match batch")
+    _expect(node, CarolNode, "pm-batch", "the near-match batch")
     batch = node.vectors
     walk.bits_walked += node.dim * len(batch)
-    tag_node = node.child
-    if not isinstance(tag_node, BobNode) or tag_node.site != "pm-xi-tag":
-        raise TreeError("expected the near-match announcement")
+    tag_node = _expect(node.child, BobNode, "pm-xi-tag", "the near-match announcement")
 
-    istar = next((i for i, xi in enumerate(batch) if unmatched_count(xi, y) <= h), None)
-
-    if istar is not None:
-        idx_node = tag_node.children.get((STATUS_WIDTH, CONTINUE))
-        if idx_node is None:
-            return
-        walk.bits_walked += STATUS_WIDTH
-        if not isinstance(idx_node, BobNode) or idx_node.site != "pm-xi-index":
-            raise TreeError("expected the near-match index")
-        iw = index_width(t)
-        gate = idx_node.children.get((iw, istar))
-        if gate is None:
-            return
-        walk.bits_walked += iw
-        if not isinstance(gate, AliceNode) or gate.site != "pm-shift-tag":
-            raise TreeError("expected the shift weight announcement")
-        sub = gate.children.get((STATUS_WIDTH, CONTINUE))
-        if sub is None:
-            return
-        walk.bits_walked += STATUS_WIDTH
-        xi = batch[istar]
-        d = y.dim
-        disagree = (y.one_bits ^ xi.value) & ~y.stars & ((1 << d) - 1)
-        y_shift = TernaryPattern(d, y.stars, disagree)
-        target = y_shift.star_vector() | y_shift.ones_vector()
-        hits = y_shift.ones_vector()
-        sub_sq = replace(params, w=w + h, eps=params.eps / 10.0, delta=params.delta / 10.0)
-
-        def cont_reverse(walk2: _Walk, node2) -> None:
-            _walk_base(walk2, node2, hits, h, w + h, bp.SQ, True, cont)
-
-        _walk_sq(walk, sub, sub_sq, target, cont_reverse)
+    istar = near_match_index(batch, y, h)
+    if istar is None:
+        _walk_halving(walk, tag_node, params, y, y.stars, w, PM_PROTOCOL, _walk_pm, cont)
         return
-
-    sub = tag_node.children.get((STATUS_WIDTH, BIG))
+    idx_node = _step(
+        walk, tag_node, (STATUS_WIDTH, CONTINUE), BobNode, "pm-xi-index", "the near-match index"
+    )
+    if idx_node is None:
+        return
+    gate = _step(
+        walk, idx_node, (index_width(pm_round_samples(params)), istar), AliceNode,
+        "pm-shift-tag", "the shift weight announcement",
+    )
+    if gate is None:
+        return
+    sub = _step(walk, gate, (STATUS_WIDTH, CONTINUE))
     if sub is None:
         return
-    walk.bits_walked += STATUS_WIDTH
-    if not isinstance(sub, CarolNode) or sub.site != "pm-halving-sets":
-        raise TreeError("expected the halving sets")
-    halves = sub.vectors
-    walk.bits_walked += sub.dim * len(halves)
-    htag = sub.child
-    if not isinstance(htag, BobNode) or htag.site != "pm-halving-tag":
-        raise TreeError("expected the halving announcement")
-    jstar = next(
-        (
-            j
-            for j, s in enumerate(halves)
-            if (y.stars & s.value).bit_count() <= 2.0 * params.w / 3.0
-        ),
-        None,
-    )
-    if jstar is None:
-        accept = htag.children.get((STATUS_WIDTH, BIG))
-        if accept is not None:
-            walk.bits_walked += STATUS_WIDTH
-            cont(walk, accept)
-        return
-    jnode = htag.children.get((STATUS_WIDTH, CONTINUE))
-    if jnode is None:
-        return
-    walk.bits_walked += STATUS_WIDTH
-    if not isinstance(jnode, BobNode) or jnode.site != "pm-half-index":
-        raise TreeError("expected the halving index")
-    jw = index_width(len(halves))
-    child = jnode.children.get((jw, jstar))
-    if child is None:
-        return
-    walk.bits_walked += jw
-    keep = halves[jstar]
-    if keep.popcount() == 0:
-        cont(walk, child)
-        return
-    dom = CoordDomain.full(keep.dim).select(keep)
-    sub_params = replace(
-        params,
-        d=dom.size,
-        w=max(1.0, 2.0 * params.w / 3.0),
-        eps=params.eps / 2.0,
-        delta=params.delta / 10.0,
-    )
-    _walk_pm(walk, child, sub_params, y.restrict(dom), cont)
+    y_shift = shifted_pattern(y, batch[istar])
+    hits = y_shift.ones_vector()
+    sub_sq = shift_params(params, h)
+
+    def cont_reverse(walk2: _Walk, node2) -> None:
+        _walk_base(walk2, node2, hits, h, sub_sq.w, bp.SQ, True, cont)
+
+    _walk_sq(walk, sub, sub_sq, y_shift.star_vector() | hits, cont_reverse)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,173 +914,193 @@ _SITES = [
     "pm-half-index",
 ]
 _SITE_CODE = {s: i for i, s in enumerate(_SITES)}
+_SITE_NAME = dict(enumerate(_SITES))
 _MODE_CODE = {bp.PM: 0, bp.SQ: 1}
 _MODE_NAME = {v: k for k, v in _MODE_CODE.items()}
 
 
-def serialize(tree: ProtocolTree) -> bytes:
-    buf = io.BytesIO()
-    m = tree.meta
-    buf.write(MAGIC)
-    buf.write(struct.pack("<HB", FORMAT_VERSION, 1 if m.protocol == PM_PROTOCOL else 2))
-    buf.write(struct.pack("<Q", m.seed))
-    p = m.params
-    buf.write(
-        struct.pack(
-            "<IdddqdQQQ",
-            p.d,
-            p.w,
-            p.eps,
-            p.delta,
-            -1 if p.t_cap is None else p.t_cap,
-            p.base_factor,
-            m.node_count,
-            m.leaf_count,
-            m.candidate_total,
-        )
+# Fixed-size parts of the file. Every node starts with its kind byte.
+_HEADER = struct.Struct("<HBQ")  # format version, protocol code, seed
+# d, w, eps, delta, t_cap, base_factor, then the node, leaf and candidate counts
+_PARAMS = struct.Struct("<IdddqdQQQ")
+_COUNT = struct.Struct("<I")
+_BRANCH = struct.Struct("<II")
+_NODE_HEADERS = {
+    _NODE_ALICE: struct.Struct("<BBI"),  # kind, site, child count
+    _NODE_BOB: struct.Struct("<BBI"),
+    _NODE_MERLIN_DEFERRED: struct.Struct("<BBd"),  # kind, mode, z
+    _NODE_MERLIN_EXPLICIT: struct.Struct("<BBddI"),  # kind, mode, z, cap, child count
+    _NODE_CAROL: struct.Struct("<BBIIB"),  # kind, site, dim, vector count, private
+    _NODE_LEAF: struct.Struct("<BI"),  # kind, candidate count
+}
+# The same layouts after the kind byte, which the reader has already taken.
+_NODE_BODIES = {kind: struct.Struct("<" + st.format[2:]) for kind, st in _NODE_HEADERS.items()}
+
+
+def _stored_params(d, w, eps, delta, t_cap, base_factor) -> ProtocolParams:
+    """The params a tree reloads with: format v1 keeps only these six fields."""
+    return ProtocolParams(
+        d=d, w=w, eps=eps, delta=delta, t_cap=None if t_cap < 0 else t_cap, base_factor=base_factor
     )
+
+
+def serialize(tree: ProtocolTree) -> bytes:
+    m = tree.meta
+    p = m.params
+    stored = (p.d, p.w, p.eps, p.delta, -1 if p.t_cap is None else p.t_cap, p.base_factor)
+    reloaded = _stored_params(*stored)
+    if reloaded != p:
+        lost = [f.name for f in fields(p) if getattr(p, f.name) != getattr(reloaded, f.name)]
+        raise TreeError(
+            f"format v{FORMAT_VERSION} cannot store {', '.join(lost)}: "
+            "the tree would reload with other params"
+        )
+    buf = io.BytesIO()
+    buf.write(MAGIC)
+    buf.write(_HEADER.pack(FORMAT_VERSION, 1 if m.protocol == PM_PROTOCOL else 2, m.seed))
+    buf.write(_PARAMS.pack(*stored, m.node_count, m.leaf_count, m.candidate_total))
     buf.write(m.fingerprint)
-    buf.write(struct.pack("<I", len(m.max_branching)))
+    buf.write(_COUNT.pack(len(m.max_branching)))
     for depth in sorted(m.max_branching):
-        buf.write(struct.pack("<II", depth, m.max_branching[depth]))
+        buf.write(_BRANCH.pack(depth, m.max_branching[depth]))
     if tree.root is None:
-        buf.write(struct.pack("<B", 0))
+        buf.write(b"\x00")
     else:
-        buf.write(struct.pack("<B", 1))
+        buf.write(b"\x01")
         _write_node(buf, tree.root)
     return buf.getvalue()
 
 
-def _write_bits(buf, value: int, nbits: int) -> None:
-    nbytes = (nbits + 7) // 8
-    buf.write(struct.pack("<I", nbits))
-    buf.write(value.to_bytes(nbytes, "little"))
-
-
-def _read_bits(buf) -> tuple[int, int]:
-    (nbits,) = struct.unpack("<I", buf.read(4))
-    nbytes = (nbits + 7) // 8
-    value = int.from_bytes(buf.read(nbytes), "little")
-    return value, nbits
-
-
 def _write_children(buf, children: dict) -> None:
-    buf.write(struct.pack("<I", len(children)))
     for (nbits, value) in sorted(children):
-        _write_bits(buf, value, nbits)
+        buf.write(_COUNT.pack(nbits))
+        buf.write(value.to_bytes((nbits + 7) // 8, "little"))
         _write_node(buf, children[(nbits, value)])
 
 
-def _read_children(buf) -> dict:
-    (count,) = struct.unpack("<I", buf.read(4))
-    children = {}
-    for _ in range(count):
-        value, nbits = _read_bits(buf)
-        children[(nbits, value)] = _read_node(buf)
-    return children
-
-
 def _write_node(buf, node) -> None:
-    if isinstance(node, AliceNode):
-        buf.write(struct.pack("<BB", _NODE_ALICE, _SITE_CODE[node.site]))
-        _write_children(buf, node.children)
-    elif isinstance(node, BobNode):
-        buf.write(struct.pack("<BB", _NODE_BOB, _SITE_CODE[node.site]))
+    if isinstance(node, (AliceNode, BobNode)):
+        kind = _NODE_ALICE if isinstance(node, AliceNode) else _NODE_BOB
+        buf.write(_NODE_HEADERS[kind].pack(kind, _SITE_CODE[node.site], len(node.children)))
         _write_children(buf, node.children)
     elif isinstance(node, MerlinDeferred):
-        buf.write(struct.pack("<BBd", _NODE_MERLIN_DEFERRED, _MODE_CODE[node.mode], node.z))
+        kind = _NODE_MERLIN_DEFERRED
+        buf.write(_NODE_HEADERS[kind].pack(kind, _MODE_CODE[node.mode], node.z))
         _write_node(buf, node.child)
     elif isinstance(node, MerlinExplicit):
-        buf.write(
-            struct.pack(
-                "<BBdd", _NODE_MERLIN_EXPLICIT, _MODE_CODE[node.mode], node.z, node.cap
-            )
-        )
+        kind = _NODE_MERLIN_EXPLICIT
+        mode = _MODE_CODE[node.mode]
+        buf.write(_NODE_HEADERS[kind].pack(kind, mode, node.z, node.cap, len(node.children)))
         _write_children(buf, node.children)
     elif isinstance(node, CarolNode):
-        buf.write(
-            struct.pack(
-                "<BBIIB",
-                _NODE_CAROL,
-                _SITE_CODE[node.site],
-                node.dim,
-                len(node.vectors),
-                1 if node.private else 0,
-            )
-        )
+        kind = _NODE_CAROL
+        site = _SITE_CODE[node.site]
+        buf.write(_NODE_HEADERS[kind].pack(kind, site, node.dim, len(node.vectors), node.private))
         nbytes = max(1, (node.dim + 7) // 8)
         for v in node.vectors:
             buf.write(v.value.to_bytes(nbytes, "little"))
         _write_node(buf, node.child)
     elif isinstance(node, Leaf):
-        buf.write(struct.pack("<BI", _NODE_LEAF, len(node.candidates)))
+        buf.write(_NODE_HEADERS[_NODE_LEAF].pack(_NODE_LEAF, len(node.candidates)))
         for i in node.candidates:
-            buf.write(struct.pack("<I", i))
+            buf.write(_COUNT.pack(i))
     else:
         raise TreeError(f"unserializable node {type(node).__name__}")
 
 
+def _read(buf, n: int, what: str) -> bytes:
+    chunk = buf.read(n)
+    if len(chunk) < n:
+        raise _truncated(what)
+    return chunk
+
+
+def _truncated(what: str) -> TreeError:
+    return TreeError(f"tree file is truncated: it ends inside the {what}")
+
+
+def _read_head(buf, kind: int) -> tuple:
+    body = _NODE_BODIES[kind]
+    try:
+        return body.unpack(buf.read(body.size))
+    except struct.error:
+        raise _truncated("node header") from None
+
+
+def _read_key(buf) -> tuple[int, int]:
+    try:
+        (nbits,) = _COUNT.unpack(buf.read(4))
+    except struct.error:
+        raise _truncated("message width") from None
+    return nbits, int.from_bytes(_read(buf, (nbits + 7) // 8, "message value"), "little")
+
+
+def _name(names: dict, code: int) -> str:
+    name = names.get(code)
+    if name is None:
+        raise TreeError(f"bad site or mode code {code}")
+    return name
+
+
+def _read_children(buf, count: int) -> dict:
+    return {_read_key(buf): _read_node(buf) for _ in range(count)}
+
+
 def _read_node(buf):
-    (kind,) = struct.unpack("<B", buf.read(1))
-    if kind in (_NODE_ALICE, _NODE_BOB):
-        (site_code,) = struct.unpack("<B", buf.read(1))
-        children = _read_children(buf)
+    tag = buf.read(1)
+    if not tag:
+        raise _truncated("node kind")
+    kind = tag[0]
+    if kind == _NODE_ALICE or kind == _NODE_BOB:
+        code, count = _read_head(buf, kind)
         cls = AliceNode if kind == _NODE_ALICE else BobNode
-        return cls(_SITES[site_code], children)
-    if kind == _NODE_MERLIN_DEFERRED:
-        mode_code, z = struct.unpack("<Bd", buf.read(9))
-        return MerlinDeferred(_MODE_NAME[mode_code], z, _read_node(buf))
-    if kind == _NODE_MERLIN_EXPLICIT:
-        mode_code, z, cap = struct.unpack("<Bdd", buf.read(17))
-        return MerlinExplicit(_MODE_NAME[mode_code], z, cap, _read_children(buf))
+        return cls(_name(_SITE_NAME, code), _read_children(buf, count))
     if kind == _NODE_CAROL:
-        site_code, dim, count, private = struct.unpack("<BIIB", buf.read(10))
+        code, dim, count, private = _read_head(buf, kind)
         nbytes = max(1, (dim + 7) // 8)
+        raw = _read(buf, nbytes * count, "parity vectors")
         vectors = tuple(
-            BitVector(dim, int.from_bytes(buf.read(nbytes), "little"))
-            for _ in range(count)
+            BitVector(dim, int.from_bytes(raw[k : k + nbytes], "little"))
+            for k in range(0, len(raw), nbytes)
         )
-        return CarolNode(_SITES[site_code], dim, vectors, private == 1, _read_node(buf))
+        return CarolNode(_name(_SITE_NAME, code), dim, vectors, private == 1, _read_node(buf))
     if kind == _NODE_LEAF:
-        (count,) = struct.unpack("<I", buf.read(4))
-        ids = tuple(struct.unpack("<I", buf.read(4))[0] for _ in range(count))
-        return Leaf(ids)
+        (count,) = _read_head(buf, kind)
+        return Leaf(struct.unpack(f"<{count}I", _read(buf, 4 * count, "leaf candidates")))
+    if kind == _NODE_MERLIN_DEFERRED:
+        code, z = _read_head(buf, kind)
+        return MerlinDeferred(_name(_MODE_NAME, code), z, _read_node(buf))
+    if kind == _NODE_MERLIN_EXPLICIT:
+        code, z, cap, count = _read_head(buf, kind)
+        return MerlinExplicit(_name(_MODE_NAME, code), z, cap, _read_children(buf, count))
     raise TreeError(f"bad node tag {kind}")
 
 
 def deserialize(data: bytes, dataset: Dataset) -> ProtocolTree:
     buf = io.BytesIO(data)
-    if buf.read(8) != MAGIC:
+    if _read(buf, len(MAGIC), "magic") != MAGIC:
         raise TreeError("bad magic")
-    version, proto_code = struct.unpack("<HB", buf.read(3))
+    version, proto_code, seed = _HEADER.unpack(_read(buf, _HEADER.size, "header"))
     if version != FORMAT_VERSION:
         raise TreeError(f"unsupported format version {version}")
-    (seed,) = struct.unpack("<Q", buf.read(8))
-    d, w, eps, delta, t_cap, base_factor, node_count, leaf_count, cand_total = struct.unpack(
-        "<IdddqdQQQ", buf.read(4 + 8 * 3 + 8 + 8 + 8 * 3)
-    )
-    fingerprint = buf.read(32)
+    if proto_code not in (1, 2):
+        raise TreeError(f"bad protocol code {proto_code}")
+    raw_params = _PARAMS.unpack(_read(buf, _PARAMS.size, "params"))
+    *stored, node_count, leaf_count, cand_total = raw_params
+    fingerprint = _read(buf, 32, "dataset fingerprint")
     if fingerprint != dataset.fingerprint():
         raise TreeError("tree was built over a different dataset")
-    (nbranch,) = struct.unpack("<I", buf.read(4))
-    max_branching = {}
-    for _ in range(nbranch):
-        depth, mb = struct.unpack("<II", buf.read(8))
-        max_branching[depth] = mb
-    (has_root,) = struct.unpack("<B", buf.read(1))
-    root = _read_node(buf) if has_root else None
-    params = ProtocolParams(
-        d=d,
-        w=w,
-        eps=eps,
-        delta=delta,
-        t_cap=None if t_cap < 0 else t_cap,
-        base_factor=base_factor,
+    (nbranch,) = _COUNT.unpack(_read(buf, 4, "branching table"))
+    max_branching = dict(
+        _BRANCH.unpack(_read(buf, _BRANCH.size, "branching table")) for _ in range(nbranch)
     )
+    root = _read_node(buf) if _read(buf, 1, "root flag")[0] else None
+    if buf.tell() != len(data):
+        raise TreeError(f"tree file has {len(data) - buf.tell()} bytes after the tree")
     meta = TreeMeta(
         protocol=PM_PROTOCOL if proto_code == 1 else SQ_PROTOCOL,
         seed=seed,
-        params=params,
+        params=_stored_params(*stored),
         fingerprint=fingerprint,
         node_count=node_count,
         leaf_count=leaf_count,
@@ -1258,8 +1111,9 @@ def deserialize(data: bytes, dataset: Dataset) -> ProtocolTree:
 
 
 def save_tree(tree: ProtocolTree, path) -> None:
+    data = serialize(tree)
     with open(path, "wb") as fh:
-        fh.write(serialize(tree))
+        fh.write(data)
 
 
 def load_tree(path, dataset: Dataset) -> ProtocolTree:

@@ -13,10 +13,9 @@ import math
 from dataclasses import replace
 
 from .base_protocol import SQ, PM, BaseAdvice, base_exec, special_advice, sq_advice_width
-from .bits import BitVector, CoordDomain, TernaryPattern
+from .bits import BitVector, TernaryPattern
 from .dist import EmpiricalDistribution
 from .engine import (
-    BIG,
     CONTINUE,
     OUT0,
     Message,
@@ -29,7 +28,7 @@ from .engine import (
     index_width,
     status_message,
 )
-from .sq_protocol import AdviceFeed, sq_exec
+from .sq_protocol import AdviceFeed, ProtocolError, batch_message, halving_exec, sq_exec
 
 
 def pm_round_samples(params: ProtocolParams) -> int:
@@ -63,6 +62,23 @@ def recursion_depth_cap(params: ProtocolParams) -> int:
 def unmatched_count(sample: BitVector, y: TernaryPattern) -> int:
     """Non-star coordinates where the sample disagrees with the query."""
     return ((sample.value ^ y.one_bits) & ~y.stars & ((1 << y.dim) - 1)).bit_count()
+
+
+def near_match_index(batch, y: TernaryPattern, h: float) -> int | None:
+    """Index of the first sample with at most h unmatched coordinates, or None."""
+    return next((i for i, xi in enumerate(batch) if unmatched_count(xi, y) <= h), None)
+
+
+def shifted_pattern(y: TernaryPattern, xi: BitVector) -> TernaryPattern:
+    """The query re-centered on sample xi: its ones mark where xi disagrees
+    with y off the stars."""
+    disagree = (y.one_bits ^ xi.value) & ~y.stars & ((1 << y.dim) - 1)
+    return TernaryPattern(y.dim, y.stars, disagree)
+
+
+def shift_params(params: ProtocolParams, h: float) -> ProtocolParams:
+    """Parameters of the containment checks after re-centering on a sample."""
+    return replace(params, w=params.w + h, eps=params.eps / 10.0, delta=params.delta / 10.0)
 
 
 def run_pm(
@@ -117,7 +133,8 @@ def pm_exec(
         raise ValueError(f"query has {y.star_count()} stars, budget is {w}")
     if depth_cap is None:
         depth_cap = recursion_depth_cap(params)
-    assert depth <= max(depth_cap, 1), "recursion exceeded its depth bound"
+    if depth > max(depth_cap, 1):
+        raise ProtocolError("recursion exceeded its depth bound")
 
     if params.is_base_case():
         seg = feed.next(
@@ -127,60 +144,16 @@ def pm_exec(
 
     t = pm_round_samples(params)
     h = pm_gap(params)
-    batch = []
-    packed = 0
-    for i in range(t):
-        xi = dist.sample(tapes.pub)
-        batch.append(xi)
-        packed |= xi.value << (i * d)
-    tr.append(Message(Player.CAROL_PUB, packed, t * d, "near-match-batch"))
+    batch = [dist.sample(tapes.pub) for _ in range(t)]
+    tr.append(batch_message(batch, d, "near-match-batch"))
 
-    istar = next((i for i, xi in enumerate(batch) if unmatched_count(xi, y) <= h), None)
-
+    istar = near_match_index(batch, y, h)
     if istar is None:
-        tr.append(status_message(Player.BOB, BIG, "xi-none"))
-        n_halving = pm_halving_count(params.delta)
-        halves = []
-        packed = 0
-        for j in range(n_halving):
-            s = tapes.pub.draw_vector(d)
-            halves.append(s)
-            packed |= s.value << (j * d)
-        tr.append(Message(Player.CAROL_PUB, packed, n_halving * d, "halving-sets"))
-        jstar = next(
-            (
-                j
-                for j, s in enumerate(halves)
-                if (y.stars & s.value).bit_count() <= 2.0 * w / 3.0
+        return halving_exec(
+            params, dist, x, y, pm_halving_count(params.delta), y.stars, w, tapes, tr,
+            lambda sub, dist_h, x_h, y_h: pm_exec(
+                sub, dist_h, x_h, y_h, tapes, tr, feed, depth + 1, depth_cap
             ),
-            None,
-        )
-        if jstar is None:
-            tr.append(status_message(Player.BOB, BIG, "halving-none"))
-            return 1
-        tr.append(status_message(Player.BOB, CONTINUE, "halving-found"))
-        tr.append(Message(Player.BOB, jstar, index_width(n_halving), "half-index"))
-        keep = halves[jstar]
-        if keep.popcount() == 0:
-            return 1
-        dom = CoordDomain.full(d).select(keep)
-        sub = replace(
-            params,
-            d=dom.size,
-            w=max(1.0, 2.0 * w / 3.0),
-            eps=params.eps / 2.0,
-            delta=params.delta / 10.0,
-        )
-        return pm_exec(
-            sub,
-            dist.restrict_relative(keep),
-            x.restrict(dom),
-            y.restrict(dom),
-            tapes,
-            tr,
-            feed,
-            depth + 1,
-            depth_cap,
         )
 
     tr.append(status_message(Player.BOB, CONTINUE, "xi-found"))
@@ -188,35 +161,25 @@ def pm_exec(
     xi = batch[istar]
 
     x_shift = x ^ xi
-    disagree = (y.one_bits ^ xi.value) & ~y.stars & ((1 << d) - 1)
-    y_shift = TernaryPattern(d, y.stars, disagree)
+    y_shift = shifted_pattern(y, xi)
+    sub_sq = shift_params(params, h)
 
-    if x_shift.popcount() > w + h:
+    if x_shift.popcount() > sub_sq.w:
         tr.append(status_message(Player.ALICE, OUT0, "shift-too-heavy"))
         return 0
     tr.append(status_message(Player.ALICE, CONTINUE, "shift-ok"))
 
     shifted_dist = dist.xor_shift(xi)
     target = y_shift.star_vector() | y_shift.ones_vector()
-    sub_sq = replace(params, w=w + h, eps=params.eps / 10.0, delta=params.delta / 10.0)
     out_contain = sq_exec(sub_sq, shifted_dist, x_shift, target, tapes, tr, feed)
 
     hits = y_shift.ones_vector()
     seg = feed.next(
-        lambda: special_advice(SQ, hits, x_shift, h, public_cap=w + h),
+        lambda: special_advice(SQ, hits, x_shift, h, public_cap=sub_sq.w),
         SQ,
-        sq_advice_width(math.floor(w + h), math.floor(h)),
+        sq_advice_width(math.floor(sub_sq.w), math.floor(h)),
     )
     out_reverse = base_exec(
-        SQ,
-        hits,
-        x_shift,
-        h,
-        w + h,
-        params.delta / 10.0,
-        seg,
-        tapes,
-        tr,
-        swap_roles=True,
+        SQ, hits, x_shift, h, sub_sq.w, sub_sq.delta, seg, tapes, tr, swap_roles=True
     )
     return out_contain & out_reverse

@@ -3,15 +3,12 @@
 "desk" is the hand-tuned regime every experiment and acceptance run uses:
 eps in [0.05, 0.5], the accept-side error budget delta tied to the dataset
 size (n^-0.75, clamped into [0.001, 0.1]) so compiled trees scan sublinearly,
-and the sample cap on. "paper" evaluates the headline formulas verbatim; its
-values are far outside desk feasibility and exist for formula fidelity only.
+and the sample cap on. compiler.paper_params evaluates the headline formulas
+verbatim; its values are far outside desk feasibility.
 """
 
 from __future__ import annotations
 
-import math
-
-from .compiler import paper_params
 from .engine import ProtocolParams, derive_params
 
 DESK_DELTA_FLOOR = 1e-3
@@ -36,9 +33,3 @@ def desk_params(
     dl = desk_delta(n) if delta is None else delta
     dl = min(dl, eps)
     return derive_params(d, w, min(eps, 0.499999), dl, t_cap=t_cap)
-
-
-def paper_preset(n: int, c: float, d: int, c1: float = 1.0, c2: float = 1.0) -> ProtocolParams:
-    eps, delta, w = paper_params(n, c, c1, c2)
-    w = min(w, d)
-    return derive_params(d, max(1.0, w), min(eps, 0.499999), min(delta, min(eps, 0.499999)))

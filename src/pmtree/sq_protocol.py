@@ -11,7 +11,7 @@ protocol recurses at half the error. Output-1 paths only ever overshoot
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .base_protocol import (
     SQ,
@@ -168,19 +168,13 @@ def sq_exec(
         if batch is None:
             return 0
 
-        istar = next(
-            (i for i, xi in enumerate(batch) if xi.diff(y_cur).popcount() <= h), None
-        )
+        istar = near_subset_index(batch, y_cur, h)
         if istar is not None:
             tr.append(status_message(Player.BOB, CONTINUE, "xi-found"))
             xi = batch[istar]
-            overflow = xi.diff(y_cur)
-            iw = index_width(t)
-            rw = sq_advice_width(xi.popcount(), math.floor(h))
-            rank = rank_subset(xi, overflow, math.floor(h))
-            tr.append(
-                Message(Player.BOB, istar | (rank << iw), iw + rw, "xi-index-rank")
-            )
+            rank = rank_subset(xi, xi.diff(y_cur), math.floor(h))
+            nbits, value = overflow_key(istar, t, xi, rank, h)
+            tr.append(Message(Player.BOB, value, nbits, "xi-index-rank"))
             # The point side decodes the overflow set from the wire, not from y.
             overflow = unrank_subset(xi, rank, math.floor(h))
             if x_cur.intersects(overflow):
@@ -188,8 +182,8 @@ def sq_exec(
                 return 0
             tr.append(status_message(Player.ALICE, CONTINUE, "no-overlap"))
             shed = xi.popcount() - overflow.popcount()
-            if params.base_factor >= 100.0 and params.t_cap is None:
-                assert shed >= 0.9 * w / ell - 1e-9
+            if params.base_factor >= 100.0 and params.t_cap is None and shed < 0.9 * w / ell - 1e-9:
+                raise ProtocolError("a near-subset sample shed fewer coordinates than its bound")
             keep = xi.complement()
             x_cur = restrict_rel(x_cur, keep)
             y_cur = restrict_rel(y_cur, keep)
@@ -197,41 +191,77 @@ def sq_exec(
             w_cur -= shed
             continue
 
-        tr.append(status_message(Player.BOB, BIG, "xi-none"))
         n_halving = halving_count(ell, params.delta_prime)
-        dim_cur = dist_cur.dim
-        halves = []
-        packed = 0
-        for j in range(n_halving):
-            s = tapes.pub.draw_vector(dim_cur)
-            halves.append(s)
-            packed |= s.value << (j * dim_cur)
-        tr.append(Message(Player.CAROL_PUB, packed, n_halving * dim_cur, "halving-sets"))
-        jstar = next(
-            (j for j, s in enumerate(halves) if (y_cur & s).popcount() <= 2.0 * w_cur / 3.0),
-            None,
+        return halving_exec(
+            params, dist_cur, x_cur, y_cur, n_halving, y_cur.value, w_cur, tapes, tr,
+            lambda sub, dist_h, x_h, y_h: sq_exec(sub, dist_h, x_h, y_h, tapes, tr, feed),
         )
-        if jstar is None:
-            tr.append(status_message(Player.BOB, BIG, "halving-none"))
-            return 1
-        tr.append(status_message(Player.BOB, CONTINUE, "halving-found"))
-        tr.append(Message(Player.BOB, jstar, index_width(n_halving), "half-index"))
-        keep = halves[jstar]
-        if keep.popcount() == 0:
-            return 1
-        x_cur = restrict_rel(x_cur, keep)
-        y_cur = restrict_rel(y_cur, keep)
-        dist_cur = dist_cur.restrict_relative(keep)
-        sub = replace(
-            params,
-            d=dist_cur.dim,
-            w=max(1.0, 2.0 * w_cur / 3.0),
-            eps=params.eps / 2.0,
-            delta=params.delta_prime,
-        )
-        return sq_exec(sub, dist_cur, x_cur, y_cur, tapes, tr, feed)
 
     raise ProtocolError("iteration budget exhausted; parameters violate the shrink guarantee")
+
+
+def halving_exec(
+    params: ProtocolParams, dist: EmpiricalDistribution, x, y, n_halving: int, mask: int,
+    w_cur: float, tapes: Tapes, tr: Transcript, recurse,
+) -> int:
+    """The halving step, run when no sample came near the query.
+
+    The public channel draws n_halving random sets. The query side names the
+    first set holding at most 2 w_cur / 3 of the query coordinates in mask
+    (the stars of a PM query, the ones of an SQ query); if none does, the run
+    accepts. Otherwise every party restricts to that set and the run goes on
+    as recurse(sub_params, sub_dist, sub_x, sub_y).
+    """
+    tr.append(status_message(Player.BOB, BIG, "xi-none"))
+    d = dist.dim
+    halves = [tapes.pub.draw_vector(d) for _ in range(n_halving)]
+    tr.append(batch_message(halves, d, "halving-sets"))
+    jstar = pick_half(halves, mask, w_cur)
+    if jstar is None:
+        tr.append(status_message(Player.BOB, BIG, "halving-none"))
+        return 1
+    tr.append(status_message(Player.BOB, CONTINUE, "halving-found"))
+    tr.append(Message(Player.BOB, jstar, index_width(n_halving), "half-index"))
+    keep = halves[jstar]
+    if keep.popcount() == 0:
+        return 1
+    dom = CoordDomain.full(d).select(keep)
+    sub = halved_params(params, dom.size, w_cur)
+    return recurse(sub, dist.restrict_relative(keep), x.restrict(dom), y.restrict(dom))
+
+
+def pick_half(halves, mask: int, w_cur: float) -> int | None:
+    """Index of the first halving set holding at most 2 w_cur / 3 of the
+    coordinates in mask, or None."""
+    limit = 2.0 * w_cur / 3.0
+    return next((j for j, s in enumerate(halves) if (mask & s.value).bit_count() <= limit), None)
+
+
+def halved_params(params: ProtocolParams, d: int, w_cur: float) -> ProtocolParams:
+    """Parameters of the sub-problem on a kept halving set of d coordinates."""
+    return replace(
+        params, d=d, w=max(1.0, 2.0 * w_cur / 3.0), eps=params.eps / 2.0, delta=params.delta_prime
+    )
+
+
+def near_subset_index(batch, y: BitVector, h: float) -> int | None:
+    """Index of the first sample with at most h coordinates outside y, or None."""
+    return next((i for i, xi in enumerate(batch) if xi.diff(y).popcount() <= h), None)
+
+
+def overflow_key(istar: int, t: int, xi: BitVector, rank: int, h: float) -> tuple[int, int]:
+    """(width, value) of the message naming sample istar of t and the rank of
+    its overflow set among the subsets of xi with at most h elements."""
+    iw = index_width(t)
+    return iw + sq_advice_width(xi.popcount(), math.floor(h)), istar | (rank << iw)
+
+
+def batch_message(vectors, dim: int, label: str) -> Message:
+    """Public-channel message carrying the vectors packed dim bits apart."""
+    packed = 0
+    for i, v in enumerate(vectors):
+        packed |= v.value << (i * dim)
+    return Message(Player.CAROL_PUB, packed, len(vectors) * dim, label)
 
 
 def draw_conditioned_batch(
@@ -247,7 +277,6 @@ def draw_conditioned_batch(
     Returns None after logging a zero-bit marker when nothing qualifies; the
     run then outputs 0 (no point of the distribution can sit in the window).
     """
-    dim = dist.dim
     first = dist.sample_size_conditioned(lo, hi, pub)
     if first is EMPTY_SUPPORT:
         tr.append(Message(Player.CAROL_PUB, 0, 0, "no-sample"))
@@ -255,23 +284,10 @@ def draw_conditioned_batch(
     batch = [first]
     for _ in range(t - 1):
         batch.append(dist.sample_size_conditioned(lo, hi, pub))
-    packed = 0
-    for i, xi in enumerate(batch):
-        packed |= xi.value << (i * dim)
-    tr.append(Message(Player.CAROL_PUB, packed, t * dim, "cond-batch"))
+    tr.append(batch_message(batch, dist.dim, "cond-batch"))
     return batch
 
 
 def restrict_rel(v: BitVector, keep: BitVector) -> BitVector:
     dom = CoordDomain.full(v.dim).select(keep)
     return v.restrict(dom)
-
-
-@dataclass
-class SqState:
-    """Loop state snapshot: domain, remaining budget, distribution, iteration."""
-
-    domain: CoordDomain
-    budget: float
-    dist: EmpiricalDistribution
-    iteration: int

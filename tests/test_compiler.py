@@ -4,6 +4,7 @@ import pytest
 
 from pmtree.bits import BitVector, Dataset, TernaryPattern
 from pmtree.compiler import (
+    TreeError,
     TreeSizeError,
     deserialize,
     load_tree,
@@ -232,3 +233,42 @@ def test_empty_root_when_nothing_survives():
     tree = preprocess(ds, "sq", params, seed=1)
     assert tree.root is None
     assert query(tree, BitVector.from01("110000")).matches == frozenset()
+
+
+def _all_kinds_tree():
+    # A small iterative PM tree holding every node kind.
+    tape = RandomTape(3, Stream.PUB)
+    ds = Dataset(8, tuple(BitVector(8, tape.draw_bits(8) & tape.draw_bits(8)) for _ in range(2)))
+    params = derive_params(8, 5, 0.25, 0.05, t_cap=2, base_factor=1.0)
+    return preprocess(ds, "pm", params, seed=3, node_ceiling=1 << 16)
+
+
+def test_round_trip_keeps_params():
+    for tree in (
+        preprocess(_random_dataset(48, 16, seed=22), "pm", desk_params(48, 16, 4), seed=5),
+        _all_kinds_tree(),
+    ):
+        back = deserialize(serialize(tree), tree.dataset)
+        assert back.meta.params == tree.meta.params
+        assert serialize(back) == serialize(tree)
+
+
+def test_serialize_refuses_params_it_cannot_store():
+    ds = _random_dataset(10, 12, seed=13, sparse=True)
+    params = derive_params(12, 8, 0.25, 0.05, t_cap=3, base_factor=1.0, h_override=1.0)
+    tree = preprocess(ds, "sq", params, seed=4, node_ceiling=1 << 22)
+    with pytest.raises(TreeError, match="h_override"):
+        serialize(tree)
+
+
+def test_truncated_or_padded_blob_raises_tree_error():
+    tree = _all_kinds_tree()
+    blob = serialize(tree)
+    for cut in range(len(blob)):
+        with pytest.raises(TreeError):
+            deserialize(blob[:cut], tree.dataset)
+    with pytest.raises(TreeError, match="bytes after the tree"):
+        deserialize(blob + b"\x00", tree.dataset)
+    # A cut inside the dataset fingerprint is reported as a short file.
+    with pytest.raises(TreeError, match="fingerprint"):
+        deserialize(blob[: blob.index(tree.meta.fingerprint) + 13], tree.dataset)

@@ -5,8 +5,9 @@ import pytest
 
 from pmtree.bits import BitVector, Dataset, TernaryPattern, match_pm
 from pmtree.dist import EmpiricalDistribution
-from pmtree.engine import RandomTape, Stream, Tapes, derive_params
+from pmtree.engine import RandomTape, Stream, Tapes, Transcript, derive_params
 from pmtree.pm_protocol import (
+    pm_exec,
     pm_gap,
     pm_round_samples,
     pm_special_advice,
@@ -14,6 +15,7 @@ from pmtree.pm_protocol import (
     run_pm,
     unmatched_count,
 )
+from pmtree.sq_protocol import AdviceFeed, ProtocolError
 
 
 def _all_patterns(d):
@@ -195,3 +197,14 @@ def test_star_budget_validation():
     with pytest.raises(ValueError):
         run_pm(params, lam, BitVector(4, 0), TernaryPattern.parse("***0"), None,
                Tapes.from_seed(1))
+
+
+def test_depth_bound_raises_protocol_error():
+    # The bound must hold under python -O too, so it is not an assert.
+    d = 8
+    x = BitVector.from01("10110001")
+    lam = EmpiricalDistribution(Dataset(d, (x,)))
+    params = derive_params(d, 4, 0.25, 0.05)
+    y = TernaryPattern.parse("1*1*0*0*")
+    with pytest.raises(ProtocolError, match="depth bound"):
+        pm_exec(params, lam, x, y, Tapes.from_seed(1), Transcript(), AdviceFeed(), depth=3, depth_cap=1)
