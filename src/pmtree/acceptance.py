@@ -24,7 +24,7 @@ from .disjointness import (
 )
 from .dist import EmpiricalDistribution
 from .engine import RandomTape, Stream, Tapes, derive_params
-from .generators import gen_planted, gen_random_sq, nonmatching_pm_queries
+from .generators import distinct_positions, gen_planted, gen_random_sq, nonmatching_pm_queries
 from .oracles import brute_force_pm, brute_force_sq
 from .pm_protocol import pm_special_advice, run_pm
 from .presets import desk_delta, desk_params
@@ -215,7 +215,7 @@ def crit_soundness(quick: bool = False):
     for i in range(trials):
         x = BitVector(d, tape.draw_bits(d))
         y = TernaryPattern.from_point(
-            BitVector(d, tape.draw_bits(d)), _positions(tape, d, w)
+            BitVector(d, tape.draw_bits(d)), distinct_positions(tape, d, w)
         )
         honest = bp.special_advice(bp.PM, x, y, w)
         wrong = _mutate_segments((honest,), tape)
@@ -252,7 +252,7 @@ def crit_soundness(quick: bool = False):
     for i in range(trials):
         x = pts[tape.draw_below(n_pts)]
         y = TernaryPattern.from_point(
-            BitVector(d, tape.draw_bits(d)), _positions(tape, d, w)
+            BitVector(d, tape.draw_bits(d)), distinct_positions(tape, d, w)
         )
         honest = pm_special_advice(lam, x, y, RandomTape(7_000_000 + i, Stream.PUB), params)
         wrong = _mutate_segments(honest, tape) if honest else (
@@ -267,16 +267,6 @@ def crit_soundness(quick: bool = False):
         return False, f"pm soundness {rate_pm:.4f} > {bound:.4f}"
 
     return True, f"accept rates {', '.join(details)} all <= {bound:.4f}"
-
-
-def _positions(tape: RandomTape, d: int, k: int) -> list[int]:
-    pool = list(range(d))
-    out = []
-    for i in range(k):
-        j = i + tape.draw_below(d - i)
-        pool[i], pool[j] = pool[j], pool[i]
-        out.append(pool[i])
-    return sorted(out)
 
 
 # --------------------------------------------------------------------------
@@ -297,7 +287,9 @@ def crit_fp_mass(quick: bool = False):
     fp = 0
     for i in range(trials):
         x = pts[tape.draw_below(n)]
-        y = TernaryPattern.from_point(BitVector(d, tape.draw_bits(d)), _positions(tape, d, w))
+        y = TernaryPattern.from_point(
+            BitVector(d, tape.draw_bits(d)), distinct_positions(tape, d, w)
+        )
         out = run_pm(params, lam, x, y, None, Tapes.from_seed(8_000_000 + i)).output
         if out == 1 and not match_pm(x, y):
             fp += 1

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .bits import BitVector, TernaryPattern
+from .bits import BitVector, CoordDomain, TernaryPattern
 from .engine import (
     OUT0,
     Message,
     Player,
+    RandomTape,
     Tapes,
     Transcript,
+    batch_message,
     index_width,
     status_message,
 )
@@ -112,10 +114,6 @@ def unrank_subset(y: BitVector, rank: int, zmax: int) -> BitVector:
     return BitVector.from_ones(y.dim, (elements[j] for j in positions))
 
 
-def pm_advice_width(y: TernaryPattern) -> int:
-    return y.star_count()
-
-
 def sq_advice_width(m: int, zmax: int) -> int:
     return index_width(subset_count(m, zmax))
 
@@ -127,6 +125,14 @@ def decode_failed_sentinel(dim: int) -> BitVector:
     coordinates, so the parity rounds reject it at the usual rate.
     """
     return BitVector(dim, (1 << dim) - 1)
+
+
+def advice_width(mode: str, y, z: float) -> int:
+    """Width of the advice decoded against y: one bit per star (PM), or the
+    index width of the subsets of y with at most z elements (SQ)."""
+    if mode == PM:
+        return y.star_count()
+    return sq_advice_width(y.popcount(), math.floor(z))
 
 
 def special_advice(
@@ -142,28 +148,25 @@ def special_advice(
     if mode == PM:
         if not isinstance(y, TernaryPattern) or y.dim != x.dim:
             raise ValueError("PM mode needs a TernaryPattern of matching dimension")
-        fill = x.restrict(_star_domain(y))
-        return BaseAdvice(PM, fill.value, y.star_count())
+        fill = x.restrict(CoordDomain(y.dim, y.star_positions()))
+        return BaseAdvice(PM, fill.value, advice_width(PM, y, z))
     if mode == SQ:
         if not isinstance(y, BitVector) or y.dim != x.dim:
             raise ValueError("SQ mode needs a BitVector of matching dimension")
         zmax = math.floor(z)
-        s = x & y
-        m = y.popcount() if public_cap is None else math.floor(public_cap)
-        if y.popcount() > m:
+        if public_cap is None:
+            width = advice_width(SQ, y, z)
+        elif y.popcount() > math.floor(public_cap):
             raise ValueError("public cap is below the actual set size")
-        return BaseAdvice(SQ, rank_subset(y, s, zmax), sq_advice_width(m, zmax))
+        else:
+            width = sq_advice_width(math.floor(public_cap), zmax)
+        return BaseAdvice(SQ, rank_subset(y, x & y, zmax), width)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _star_domain(y: TernaryPattern):
-    from .bits import CoordDomain
-
-    return CoordDomain(y.dim, y.star_positions())
-
-
-@lru_cache(maxsize=8192)
-def _reconstruct_cached(mode: str, y, payload: int, zmax: int) -> BitVector:
+def decode(mode: str, y, payload: int, zmax: int) -> BitVector:
+    """The candidate a payload encodes relative to y: the star fill (PM) or the
+    subset of y with that rank (SQ), the all-ones sentinel on a bad rank."""
     if mode == PM:
         return y.fill_stars(BitVector(y.star_count(), payload))
     try:
@@ -172,20 +175,26 @@ def _reconstruct_cached(mode: str, y, payload: int, zmax: int) -> BitVector:
         return decode_failed_sentinel(y.dim)
 
 
+_decode_cached = lru_cache(maxsize=8192)(decode)
+
+
 def reconstruct(mode: str, y, advice: BaseAdvice, z: float) -> BitVector:
     """The candidate the advice encodes relative to y (sentinel on bad ranks)."""
-    return _reconstruct_cached(mode, y, advice.payload, math.floor(z))
-
-
-def parity_bit(v: BitVector, r: BitVector) -> int:
-    return (v.value & r.value).bit_count() & 1
+    return _decode_cached(mode, y, advice.payload, math.floor(z))
 
 
 def parity_vector(v: BitVector, rs) -> int:
+    """Bit i is the parity of v on the coordinates set in rs[i]."""
+    value = v.value
     out = 0
     for i, r in enumerate(rs):
-        out |= parity_bit(v, r) << i
+        out |= ((value & r.value).bit_count() & 1) << i
     return out
+
+
+def draw_parity_vectors(pri: RandomTape, d: int, t: int) -> tuple[BitVector, ...]:
+    """The stage's t private parity vectors of d bits, drawn after the advice."""
+    return tuple(pri.draw_vector(d) for _ in range(t))
 
 
 def base_t(delta: float, t_override: int | None = None) -> int:
@@ -228,25 +237,14 @@ def base_exec(
 
     t = base_t(delta, t_override)
     tr.require_advice_committed()
-    pri = tapes.pri
-    r_vals = [pri.draw_bits(d) for _ in range(t)]
-    packed = 0
-    for i, rv in enumerate(r_vals):
-        packed |= rv << (i * d)
-    tr.append(Message(Player.CAROL_PRI, packed, t * d, "parity-vecs"))
+    rs = draw_parity_vectors(tapes.pri, d, t)
+    tr.append(batch_message(Player.CAROL_PRI, rs, d, "parity-vecs"))
 
-    a = _parity_vector_raw(x.value, r_vals)
-    b = _parity_vector_raw(ybar.value, r_vals)
+    a = parity_vector(x, rs)
+    b = parity_vector(ybar, rs)
     tr.append(Message(point_sender, a, t, "parities-point"))
     tr.append(Message(recon_sender, b, t, "parities-recon"))
     return 1 if a == b else 0
-
-
-def _parity_vector_raw(value: int, r_vals) -> int:
-    out = 0
-    for i, rv in enumerate(r_vals):
-        out |= ((value & rv).bit_count() & 1) << i
-    return out
 
 
 def run_base(

@@ -27,11 +27,39 @@ class CliError(Exception):
     pass
 
 
+# The keys a params file may hold and the JSON types of their values; the
+# overrides apply to the "derive" preset only. null stands for the default.
+_NUMBER = (int, float)
+_DESK_KEYS = {"preset": (str,), "w": _NUMBER, "eps": _NUMBER, "delta": _NUMBER, "t_cap": (int,)}
+_DERIVE_KEYS = {
+    **_DESK_KEYS, "base_factor": _NUMBER, "t_override": (int,), "h_override": _NUMBER,
+    "max_iters_override": (int,), "debug_checks": (bool,),
+}
+_NULLABLE = {"w", "delta", "t_cap", "t_override", "h_override", "max_iters_override"}
+
+
+def _read_params_file(path) -> dict:
+    with open(path) as fh:
+        fields = json.load(fh)
+    if not isinstance(fields, dict):
+        raise CliError(f"params file {path} must hold a JSON object")
+    preset = fields.get("preset", "desk")
+    if preset not in ("desk", "derive"):
+        raise CliError(f"params file key 'preset' must be 'desk' or 'derive', not {preset!r}")
+    allowed = _DESK_KEYS if preset == "desk" else _DERIVE_KEYS
+    for key, value in fields.items():
+        if key not in allowed:
+            raise CliError(f"params file key {key!r} is not a parameter of the {preset} preset")
+        if value is None and key in _NULLABLE:
+            continue
+        types = allowed[key]
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise CliError(f"params file key {key!r} has a value of the wrong type: {value!r}")
+    return fields
+
+
 def _params_from_args(args, n: int, d: int) -> ProtocolParams:
-    fields = {}
-    if getattr(args, "params_file", None):
-        with open(args.params_file) as fh:
-            fields.update(json.load(fh))
+    fields = _read_params_file(args.params_file) if getattr(args, "params_file", None) else {}
     preset = fields.pop("preset", "desk")
     w = fields.pop("w", None)
     if getattr(args, "w", None) is not None:

@@ -280,8 +280,7 @@ def _build_base(
     if z > w:
         return None  # unconditional reject, nothing to store
     d = cohort[0][1].dim
-    t = bp.base_t(delta)
-    rs = tuple(ctx.tapes.pri.draw_vector(d) for _ in range(t))
+    rs = bp.draw_parity_vectors(ctx.tapes.pri, d, bp.base_t(delta))
 
     if not swapped:
         groups: dict[int, Cohort] = {}
@@ -308,19 +307,15 @@ def _build_base(
     for m in sorted(universe):
         groups = {}
         for idx, recon_base in cohort:
-            try:
-                recon = bp.unrank_subset(recon_base, m, zmax)
-            except bp.DecodeError:
-                recon = bp.decode_failed_sentinel(d)
+            recon = bp.decode(bp.SQ, recon_base, m, zmax)
             groups.setdefault(bp.parity_vector(recon, rs), []).append((idx, recon_base))
         carol = _build_parities(ctx, d, rs, groups, BobNode, AliceNode, cont)
         if carol is not None:
             merlin_children[(width, m)] = carol
     if not merlin_children:
         return None
-    node = MerlinExplicit(bp.SQ, z, w, merlin_children)
     ctx.budget.note(ctx.depth, len(merlin_children))
-    return node
+    return MerlinExplicit(bp.SQ, z, w, merlin_children)
 
 
 def _build_parities(ctx: _Ctx, d: int, rs, groups: dict[int, Cohort], point_cls, recon_cls, cont):
@@ -603,7 +598,7 @@ def _walk_base(walk: _Walk, node, y_cur, z: float, w: float, mode: str, swapped:
         alice = carol.child
         if not isinstance(alice, AliceNode):
             raise TreeError("expected point parities")
-        width = _advice_width_for(mode, y_cur, z)
+        width = bp.advice_width(mode, y_cur, z)
         reachable = _recon_reachability(mode, y_cur, z, rs)
         for (nbits, a), bob in sorted(alice.children.items()):
             if not isinstance(bob, BobNode):
@@ -642,12 +637,6 @@ def _walk_base(walk: _Walk, node, y_cur, z: float, w: float, mode: str, swapped:
             cont(walk, leafward)
 
 
-def _advice_width_for(mode: str, y_cur, z: float) -> int:
-    if mode == bp.PM:
-        return y_cur.star_count()
-    return bp.sq_advice_width(y_cur.popcount(), math.floor(z))
-
-
 def _recon_reachability(mode: str, y_cur, z: float, rs):
     """Exact membership test for the set of parity vectors some advice value
     can reconstruct to: an affine-span check when all payloads are free, a
@@ -659,8 +648,7 @@ def _recon_reachability(mode: str, y_cur, z: float, rs):
     zmax = math.floor(z)
     m = y_cur.popcount()
     extra: set[int] = set()
-    width = bp.sq_advice_width(m, zmax)
-    if (1 << width) > bp.subset_count(m, zmax):
+    if (1 << bp.advice_width(bp.SQ, y_cur, z)) > bp.subset_count(m, zmax):
         extra.add(bp.parity_vector(bp.decode_failed_sentinel(y_cur.dim), rs))
     if zmax >= m:
         basis = _span_basis(_parity_columns(rs, tuple(y_cur.ones())))
@@ -1042,11 +1030,12 @@ def _name(names: dict, code: int) -> str:
     return name
 
 
-def _read_children(buf, count: int) -> dict:
-    return {_read_key(buf): _read_node(buf) for _ in range(count)}
+def _read_children(buf, count: int, n: int) -> dict:
+    return {_read_key(buf): _read_node(buf, n) for _ in range(count)}
 
 
-def _read_node(buf):
+def _read_node(buf, n: int):
+    """The node at the buffer's position; leaf ids must be below n."""
     tag = buf.read(1)
     if not tag:
         raise _truncated("node kind")
@@ -1054,7 +1043,7 @@ def _read_node(buf):
     if kind == _NODE_ALICE or kind == _NODE_BOB:
         code, count = _read_head(buf, kind)
         cls = AliceNode if kind == _NODE_ALICE else BobNode
-        return cls(_name(_SITE_NAME, code), _read_children(buf, count))
+        return cls(_name(_SITE_NAME, code), _read_children(buf, count, n))
     if kind == _NODE_CAROL:
         code, dim, count, private = _read_head(buf, kind)
         nbytes = max(1, (dim + 7) // 8)
@@ -1063,16 +1052,19 @@ def _read_node(buf):
             BitVector(dim, int.from_bytes(raw[k : k + nbytes], "little"))
             for k in range(0, len(raw), nbytes)
         )
-        return CarolNode(_name(_SITE_NAME, code), dim, vectors, private == 1, _read_node(buf))
+        return CarolNode(_name(_SITE_NAME, code), dim, vectors, private == 1, _read_node(buf, n))
     if kind == _NODE_LEAF:
         (count,) = _read_head(buf, kind)
-        return Leaf(struct.unpack(f"<{count}I", _read(buf, 4 * count, "leaf candidates")))
+        ids = struct.unpack(f"<{count}I", _read(buf, 4 * count, "leaf candidates"))
+        if ids and max(ids) >= n:
+            raise TreeError(f"leaf candidate {max(ids)} is not a point of the {n}-point dataset")
+        return Leaf(ids)
     if kind == _NODE_MERLIN_DEFERRED:
         code, z = _read_head(buf, kind)
-        return MerlinDeferred(_name(_MODE_NAME, code), z, _read_node(buf))
+        return MerlinDeferred(_name(_MODE_NAME, code), z, _read_node(buf, n))
     if kind == _NODE_MERLIN_EXPLICIT:
         code, z, cap, count = _read_head(buf, kind)
-        return MerlinExplicit(_name(_MODE_NAME, code), z, cap, _read_children(buf, count))
+        return MerlinExplicit(_name(_MODE_NAME, code), z, cap, _read_children(buf, count, n))
     raise TreeError(f"bad node tag {kind}")
 
 
@@ -1094,7 +1086,7 @@ def deserialize(data: bytes, dataset: Dataset) -> ProtocolTree:
     max_branching = dict(
         _BRANCH.unpack(_read(buf, _BRANCH.size, "branching table")) for _ in range(nbranch)
     )
-    root = _read_node(buf) if _read(buf, 1, "root flag")[0] else None
+    root = _read_node(buf, dataset.n) if _read(buf, 1, "root flag")[0] else None
     if buf.tell() != len(data):
         raise TreeError(f"tree file has {len(data) - buf.tell()} bytes after the tree")
     meta = TreeMeta(

@@ -17,6 +17,7 @@ from math import comb
 from .bits import BitVector, CoordDomain, Dataset
 from .dist import EMPTY_SUPPORT, EmpiricalDistribution
 from .engine import RandomTape, Stream, index_width
+from .generators import distinct_positions
 from .oracles import RateEstimate
 
 
@@ -162,13 +163,7 @@ def random_fixed_size_set(dim: int, k: int, tape: RandomTape) -> BitVector:
     """Uniform subset of [dim] with exactly k elements."""
     if not 0 <= k <= dim:
         raise ValueError("need 0 <= k <= dim")
-    chosen: list[int] = []
-    pool = list(range(dim))
-    for i in range(k):
-        j = i + tape.draw_below(dim - i)
-        pool[i], pool[j] = pool[j], pool[i]
-        chosen.append(pool[i])
-    return BitVector.from_ones(dim, chosen)
+    return BitVector.from_ones(dim, distinct_positions(tape, dim, k))
 
 
 def uniform_size_dataset(dim: int, k: int, n: int, seed: int) -> Dataset:

@@ -131,7 +131,7 @@ class EmpiricalDistribution:
         if self.shift is not None:
             rel_of = {c: j for j, c in enumerate(self.domain.active)}
             rel_positions = tuple(rel_of[c] for c in sub.active)
-            new_shift = BitVector(sub.size, _extract_rel(self.shift, rel_positions))
+            new_shift = self.shift.restrict(CoordDomain(self.domain.size, rel_positions))
         self.counter.charge(len(self.support))
         return EmpiricalDistribution(self.base, sub, self.support, new_shift, self.counter)
 
@@ -145,10 +145,3 @@ class EmpiricalDistribution:
             raise ValueError("shift must have the domain's size")
         combined = shift if self.shift is None else shift ^ self.shift
         return EmpiricalDistribution(self.base, self.domain, self.support, combined, self.counter)
-
-
-def _extract_rel(vec: BitVector, positions: tuple[int, ...]) -> int:
-    out = 0
-    for j, i in enumerate(positions):
-        out |= vec.get(i) << j
-    return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .bits import BitVector
 
@@ -154,10 +154,6 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _splitmix64(z: int) -> int:
-    return _mix64((z + _GOLDEN) & _MASK64)
-
-
 class RandomTape:
     """Counter-based tape: every draw is a pure function of (seed, stream, counter)."""
 
@@ -238,7 +234,6 @@ class ProtocolParams:
     delta: float
     t_cap: int | None = None
     base_factor: float = 100.0
-    ell_override: float | None = None
     t_override: int | None = None
     h_override: float | None = None
     max_iters_override: int | None = None
@@ -254,8 +249,6 @@ class ProtocolParams:
 
     @property
     def ell(self) -> float:
-        if self.ell_override is not None:
-            return self.ell_override
         return math.sqrt(self.w / math.log2(self.w / self.eps))
 
     @property
@@ -320,6 +313,14 @@ def derive_params(
 
 def status_message(sender: Player, tag: int, label: str) -> Message:
     return Message(sender, tag, STATUS_WIDTH, label)
+
+
+def batch_message(sender: Player, vectors, dim: int, label: str) -> Message:
+    """One message carrying the vectors packed dim bits apart."""
+    packed = 0
+    for i, v in enumerate(vectors):
+        packed |= v.value << (i * dim)
+    return Message(sender, packed, len(vectors) * dim, label)
 
 
 def index_width(count: int) -> int:

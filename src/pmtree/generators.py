@@ -35,14 +35,13 @@ def _bernoulli_vector(tape: RandomTape, dim: int, p: float) -> BitVector:
     return BitVector(dim, value)
 
 
-def _distinct_positions(tape: RandomTape, dim: int, k: int) -> list[int]:
+def distinct_positions(tape: RandomTape, dim: int, k: int) -> list[int]:
+    """k distinct coordinates of [0, dim), ascending (partial Fisher-Yates)."""
     pool = list(range(dim))
-    out = []
     for i in range(k):
         j = i + tape.draw_below(dim - i)
         pool[i], pool[j] = pool[j], pool[i]
-        out.append(pool[i])
-    return sorted(out)
+    return sorted(pool[:k])
 
 
 def gen_planted(n: int, d: int, w: int, n_queries: int, seed: int) -> Instance:
@@ -56,7 +55,7 @@ def gen_planted(n: int, d: int, w: int, n_queries: int, seed: int) -> Instance:
     queries = []
     for _ in range(n_queries):
         anchor = points[tape.draw_below(n)]
-        stars = _distinct_positions(tape, d, w)
+        stars = distinct_positions(tape, d, w)
         queries.append(TernaryPattern.from_point(anchor, stars))
     truth = tuple(frozenset(brute_force_pm(dataset, q)) for q in queries)
     for t in truth:
@@ -95,7 +94,7 @@ def gen_random_sq(n: int, d: int, w_u: float, w_q: float, seed: int) -> Instance
 def random_pattern_query(dim: int, n_stars: int, tape: RandomTape) -> TernaryPattern:
     """Random ternary query: uniform bits with n_stars starred coordinates."""
     base = tape.draw_vector(dim)
-    stars = _distinct_positions(tape, dim, n_stars)
+    stars = distinct_positions(tape, dim, n_stars)
     return TernaryPattern.from_point(base, stars)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .base_protocol import SQ, PM, BaseAdvice, base_exec, special_advice, sq_advice_width
+from .base_protocol import SQ, PM, BaseAdvice
 from .bits import BitVector, TernaryPattern
 from .dist import EmpiricalDistribution
 from .engine import (
@@ -25,10 +25,11 @@ from .engine import (
     Stream,
     Tapes,
     Transcript,
+    batch_message,
     index_width,
     status_message,
 )
-from .sq_protocol import AdviceFeed, ProtocolError, batch_message, halving_exec, sq_exec
+from .sq_protocol import AdviceFeed, ProtocolError, halving_exec, parity_stage, sq_exec
 
 
 def pm_round_samples(params: ProtocolParams) -> int:
@@ -137,15 +138,12 @@ def pm_exec(
         raise ProtocolError("recursion exceeded its depth bound")
 
     if params.is_base_case():
-        seg = feed.next(
-            lambda: special_advice(PM, x, y, w), PM, y.star_count()
-        )
-        return base_exec(PM, x, y, w, w, params.delta, seg, tapes, tr)
+        return parity_stage(feed, PM, x, y, w, w, params.delta, tapes, tr)
 
     t = pm_round_samples(params)
     h = pm_gap(params)
     batch = [dist.sample(tapes.pub) for _ in range(t)]
-    tr.append(batch_message(batch, d, "near-match-batch"))
+    tr.append(batch_message(Player.CAROL_PUB, batch, d, "near-match-batch"))
 
     istar = near_match_index(batch, y, h)
     if istar is None:
@@ -174,12 +172,7 @@ def pm_exec(
     out_contain = sq_exec(sub_sq, shifted_dist, x_shift, target, tapes, tr, feed)
 
     hits = y_shift.ones_vector()
-    seg = feed.next(
-        lambda: special_advice(SQ, hits, x_shift, h, public_cap=sub_sq.w),
-        SQ,
-        sq_advice_width(math.floor(sub_sq.w), math.floor(h)),
-    )
-    out_reverse = base_exec(
-        SQ, hits, x_shift, h, sub_sq.w, sub_sq.delta, seg, tapes, tr, swap_roles=True
+    out_reverse = parity_stage(
+        feed, SQ, hits, x_shift, h, sub_sq.w, sub_sq.delta, tapes, tr, swapped=True
     )
     return out_contain & out_reverse

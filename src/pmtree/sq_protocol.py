@@ -16,6 +16,7 @@ from dataclasses import replace
 from .base_protocol import (
     SQ,
     BaseAdvice,
+    advice_width,
     base_exec,
     rank_subset,
     special_advice,
@@ -36,6 +37,7 @@ from .engine import (
     Stream,
     Tapes,
     Transcript,
+    batch_message,
     index_width,
     status_message,
 )
@@ -68,6 +70,24 @@ class AdviceFeed:
             self.cursor += 1
             return seg
         return BaseAdvice(mode, (1 << width) - 1 if width else 0, width)
+
+
+def parity_stage(
+    feed: AdviceFeed, mode: str, x, y, z: float, w: float, delta: float, tapes: Tapes,
+    tr: Transcript, swapped: bool = False,
+) -> int:
+    """One parity-check stage: the prover segment from the feed, then the check.
+
+    In the swapped wiring y is the point's private data, so the advice width
+    comes from the public cap w instead of y's size.
+    """
+    if swapped:
+        width = sq_advice_width(math.floor(w), math.floor(z))
+    else:
+        width = advice_width(mode, y, z)
+    cap = w if swapped else None
+    seg = feed.next(lambda: special_advice(mode, x, y, z, public_cap=cap), mode, width)
+    return base_exec(mode, x, y, z, w, delta, seg, tapes, tr, swap_roles=swapped)
 
 
 def halving_count(ell: float, delta_prime: float) -> int:
@@ -131,12 +151,7 @@ def sq_exec(
             tr.append(status_message(Player.ALICE, OUT0, "size-over-budget"))
             return 0
         tr.append(status_message(Player.ALICE, SMALL, "size-ok"))
-        seg = feed.next(
-            lambda: special_advice(SQ, x, y, w),
-            SQ,
-            sq_advice_width(y.popcount(), math.floor(w)),
-        )
-        return base_exec(SQ, x, y, w, w, params.delta_prime, seg, tapes, tr)
+        return parity_stage(feed, SQ, x, y, w, w, params.delta_prime, tapes, tr)
 
     ell = params.ell
     t = params.t
@@ -154,14 +169,7 @@ def sq_exec(
             return 0
         if x_cur.popcount() <= w / ell:
             tr.append(status_message(Player.ALICE, SMALL, "size-small"))
-            z = w / ell
-            x_small, y_small = x_cur, y_cur
-            seg = feed.next(
-                lambda: special_advice(SQ, x_small, y_small, z),
-                SQ,
-                sq_advice_width(y_cur.popcount(), math.floor(z)),
-            )
-            return base_exec(SQ, x_cur, y_cur, z, w, params.delta_prime, seg, tapes, tr)
+            return parity_stage(feed, SQ, x_cur, y_cur, w / ell, w, params.delta_prime, tapes, tr)
 
         tr.append(status_message(Player.ALICE, BIG, "size-in-window"))
         batch = draw_conditioned_batch(dist_cur, w / ell, w_cur, t, tapes.pub, tr)
@@ -185,8 +193,9 @@ def sq_exec(
             if params.base_factor >= 100.0 and params.t_cap is None and shed < 0.9 * w / ell - 1e-9:
                 raise ProtocolError("a near-subset sample shed fewer coordinates than its bound")
             keep = xi.complement()
-            x_cur = restrict_rel(x_cur, keep)
-            y_cur = restrict_rel(y_cur, keep)
+            dom = CoordDomain.full(keep.dim).select(keep)
+            x_cur = x_cur.restrict(dom)
+            y_cur = y_cur.restrict(dom)
             dist_cur = dist_cur.restrict_relative(keep)
             w_cur -= shed
             continue
@@ -215,7 +224,7 @@ def halving_exec(
     tr.append(status_message(Player.BOB, BIG, "xi-none"))
     d = dist.dim
     halves = [tapes.pub.draw_vector(d) for _ in range(n_halving)]
-    tr.append(batch_message(halves, d, "halving-sets"))
+    tr.append(batch_message(Player.CAROL_PUB, halves, d, "halving-sets"))
     jstar = pick_half(halves, mask, w_cur)
     if jstar is None:
         tr.append(status_message(Player.BOB, BIG, "halving-none"))
@@ -256,14 +265,6 @@ def overflow_key(istar: int, t: int, xi: BitVector, rank: int, h: float) -> tupl
     return iw + sq_advice_width(xi.popcount(), math.floor(h)), istar | (rank << iw)
 
 
-def batch_message(vectors, dim: int, label: str) -> Message:
-    """Public-channel message carrying the vectors packed dim bits apart."""
-    packed = 0
-    for i, v in enumerate(vectors):
-        packed |= v.value << (i * dim)
-    return Message(Player.CAROL_PUB, packed, len(vectors) * dim, label)
-
-
 def draw_conditioned_batch(
     dist: EmpiricalDistribution,
     lo: float,
@@ -284,10 +285,5 @@ def draw_conditioned_batch(
     batch = [first]
     for _ in range(t - 1):
         batch.append(dist.sample_size_conditioned(lo, hi, pub))
-    tr.append(batch_message(batch, dist.dim, "cond-batch"))
+    tr.append(batch_message(Player.CAROL_PUB, batch, dist.dim, "cond-batch"))
     return batch
-
-
-def restrict_rel(v: BitVector, keep: BitVector) -> BitVector:
-    dom = CoordDomain.full(v.dim).select(keep)
-    return v.restrict(dom)

@@ -9,7 +9,6 @@ from pmtree.base_protocol import (
     BaseAdvice,
     DecodeError,
     decode_failed_sentinel,
-    pm_advice_width,
     rank_subset,
     reconstruct,
     run_base,

@@ -1,6 +1,8 @@
 import json
 
 from pmtree.cli import main
+from pmtree.bits import Dataset
+from pmtree.compiler import Leaf, load_tree, save_tree
 
 
 def test_gen_build_query_round_trip(tmp_path, capsys):
@@ -31,6 +33,20 @@ def test_input_errors_exit_1_without_traceback(tmp_path, capsys):
                  "--out", str(tree)]) == 1
     assert "exceeds the ceiling" in capsys.readouterr().err
 
+    # Params files that are not an object, name an unknown key or give a
+    # value of the wrong type.
+    bad = tmp_path / "bad.json"
+    for content, named in (
+        ([1, 2], "JSON object"),
+        ({"preset": "derive", "w": 4, "colour": 1}, "'colour'"),
+        ({"preset": "derive", "w": 4, "t_cap": "x"}, "'t_cap'"),
+    ):
+        bad.write_text(json.dumps(content))
+        assert main(["build", "--dataset", dataset, "--params-file", str(bad),
+                     "--out", str(tree)]) == 1
+        assert named in capsys.readouterr().err
+    assert not tree.exists()
+
     # Params the tree file cannot store: no file is written.
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"preset": "derive", "w": 8, "eps": 0.25, "delta": 0.05,
@@ -46,3 +62,20 @@ def test_input_errors_exit_1_without_traceback(tmp_path, capsys):
     assert main(["query", "--tree", str(tree), "--dataset", dataset,
                  "--queries", inst + ".queries"]) == 1
     assert "truncated" in capsys.readouterr().err
+
+    # A leaf candidate id outside the dataset.
+    assert main(["build", "--dataset", dataset, "--w", "4", "--out", str(tree)]) == 0
+    ds = Dataset.load(dataset)
+    loaded = load_tree(tree, ds)
+    leaf = loaded.root
+    while not isinstance(leaf, Leaf):
+        leaf = next(iter(leaf.children.values())) if hasattr(leaf, "children") else leaf.child
+    leaf.candidates = leaf.candidates[:-1] + (ds.n,)
+    save_tree(loaded, tree)
+    assert main(["query", "--tree", str(tree), "--dataset", dataset,
+                 "--queries", inst + ".queries"]) == 1
+    assert "not a point" in capsys.readouterr().err
+
+
+def test_verify_one_criterion():
+    assert main(["verify", "--only", "10", "--quick"]) == 0

@@ -4,6 +4,7 @@ import pytest
 
 from pmtree.bits import BitVector, Dataset, TernaryPattern
 from pmtree.compiler import (
+    Leaf,
     TreeError,
     TreeSizeError,
     deserialize,
@@ -272,3 +273,13 @@ def test_truncated_or_padded_blob_raises_tree_error():
     # A cut inside the dataset fingerprint is reported as a short file.
     with pytest.raises(TreeError, match="fingerprint"):
         deserialize(blob[: blob.index(tree.meta.fingerprint) + 13], tree.dataset)
+
+
+def test_leaf_id_outside_the_dataset_raises_tree_error():
+    tree = _all_kinds_tree()
+    leaf = tree.root
+    while not isinstance(leaf, Leaf):
+        leaf = next(iter(leaf.children.values())) if hasattr(leaf, "children") else leaf.child
+    leaf.candidates = leaf.candidates[:-1] + (tree.dataset.n,)
+    with pytest.raises(TreeError, match="not a point"):
+        deserialize(serialize(tree), tree.dataset)
