@@ -10,7 +10,7 @@ import sys
 
 from . import acceptance
 from .bits import BitVector, Dataset, TernaryPattern, load_pm_queries, load_sq_queries, save_queries
-from .compiler import TreeError, load_tree, preprocess, query, save_tree, serialize
+from .compiler import TreeError, load_tree, preprocess, query, save_tree
 from .disjointness import StdParams, fix_randomness, uniform_size_dataset
 from .dist import EmpiricalDistribution
 from .engine import ProtocolParams, RandomTape, Stream, Tapes, derive_params
@@ -58,14 +58,17 @@ def _read_params_file(path) -> dict:
     return fields
 
 
-def _params_from_args(args, n: int, d: int) -> ProtocolParams:
+def _params_from_args(args, n: int, d: int, default_w: float | None = None) -> ProtocolParams:
+    """Params from the flags, then the params file, then the defaults."""
     fields = _read_params_file(args.params_file) if getattr(args, "params_file", None) else {}
     preset = fields.pop("preset", "desk")
     w = fields.pop("w", None)
     if getattr(args, "w", None) is not None:
         w = args.w
     if w is None:
-        raise CliError("sparsity budget w is required (flag --w or params file)")
+        if default_w is None:
+            raise CliError("sparsity budget w is required (flag --w or params file)")
+        w = default_w
     eps = fields.pop("eps", 0.25)
     if getattr(args, "eps", None) is not None:
         eps = args.eps
@@ -112,14 +115,13 @@ def _cmd_build(args) -> int:
     dataset = Dataset.load(args.dataset)
     params = _params_from_args(args, dataset.n, dataset.dim)
     tree = preprocess(dataset, args.protocol, params, args.seed, node_ceiling=args.node_ceiling)
-    save_tree(tree, args.out)
-    blob = serialize(tree)
+    size = save_tree(tree, args.out)
     info = {
         "protocol": args.protocol,
         "nodes": tree.meta.node_count,
         "leaves": tree.meta.leaf_count,
         "stored_candidates": tree.meta.candidate_total,
-        "bytes": len(blob),
+        "bytes": size,
         "seed": args.seed,
         "w": params.w,
         "eps": params.eps,
@@ -187,10 +189,10 @@ def _cmd_sim(args) -> int:
         )
         report.add_row(t=t, accept_rate=est.mean, stderr=est.stderr, target=2.0**-t)
         report.aggregates = {"accept_rate": est.mean, "target": 2.0**-t, "stderr": est.stderr}
-        print(f"base accept rate: {est.mean:.5f} +/- {est.stderr:.5f} (target {2.0**-t:.5f})")
+        _say(args, f"base accept rate: {est.mean:.5f} +/- {est.stderr:.5f} (target {2.0**-t:.5f})")
     elif args.protocol in ("sq", "pm"):
-        d, w = args.d, (args.w if args.w else max(2, args.d // 8))
-        params = _params_from_args(args, args.n, d)
+        d = args.d
+        params = _params_from_args(args, args.n, d, default_w=max(2, d // 8))
         tape = RandomTape(args.seed, Stream.PUB)
         pts = tuple(BitVector(d, tape.draw_bits(d) & tape.draw_bits(d)) for _ in range(args.n))
         lam = EmpiricalDistribution(Dataset(d, pts))
@@ -226,9 +228,10 @@ def _cmd_sim(args) -> int:
             "false_positive_rate": fp / neg if neg else 0.0,
             "max_c_a": max_ca, "max_c_b": max_cb, "max_c_m": max_cm,
         }
-        print(
+        _say(
+            args,
             f"{args.protocol}: {pos} positives ({fn} rejected), {neg} negatives "
-            f"({fp} accepted); max bits a={max_ca} b={max_cb} m={max_cm}"
+            f"({fp} accepted); max bits a={max_ca} b={max_cb} m={max_cm}",
         )
     else:
         raise CliError(f"unknown protocol {args.protocol!r}")
@@ -248,9 +251,8 @@ def _cmd_fix_seed(args) -> int:
         "per_seed": {str(k): v for k, v in sorted(res.estimates.items())},
     }
     _emit(args, info)
-    if not args.json:
-        print(f"chosen seed {res.seed}: heldout error {res.heldout.mean:.4f} "
-              f"+/- {res.heldout.stderr:.4f}")
+    _say(args, f"chosen seed {res.seed}: heldout error {res.heldout.mean:.4f} "
+               f"+/- {res.heldout.stderr:.4f}")
     return 0
 
 
@@ -274,15 +276,15 @@ def _cmd_bench(args) -> int:
                            leaves_visited=rep.leaves_visited, bits_walked=rep.bits_walked,
                            seed=args.seed)
         means.append(max(mean(scans), 1e-9))
-        print(f"n={n}: mean candidates_scanned {means[-1]:.1f} "
-              f"(stderr {stderr_of_mean(scans):.1f})")
+        _say(args, f"n={n}: mean candidates_scanned {means[-1]:.1f} "
+                   f"(stderr {stderr_of_mean(scans):.1f})")
     slope = loglog_slope(sizes, means)
     report.aggregates = {
         "sizes": sizes,
         "mean_scans": means,
         "loglog_slope": slope,
     }
-    print(f"log-log slope: {slope:.3f}")
+    _say(args, f"log-log slope: {slope:.3f}")
     _write_report(args, report)
     return 0
 
@@ -290,9 +292,9 @@ def _cmd_bench(args) -> int:
 def _cmd_verify(args) -> int:
     if args.only:
         results = [acceptance.run_criterion(args.only, quick=args.quick)]
-        print(results[0].line())
+        _say(args, results[0].line())
     else:
-        results = acceptance.run_all(quick=args.quick)
+        results = acceptance.run_all(quick=args.quick, printer=None if args.json else print)
     ok = all(r.passed for r in results)
     if args.json:
         print(json.dumps(
@@ -312,6 +314,12 @@ def _emit(args, obj: dict) -> None:
     else:
         for k, v in obj.items():
             print(f"{k}: {v}")
+
+
+def _say(args, line: str) -> None:
+    """Print a line for a reader; under --json stdout holds only the JSON object."""
+    if not getattr(args, "json", False):
+        print(line)
 
 
 def _write_report(args, report: Report) -> None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from . import base_protocol as bp
 from .bits import BitVector, CoordDomain, Dataset, TernaryPattern, match_pm, subset_of
@@ -57,6 +57,7 @@ from .sq_protocol import (
     near_subset_index,
     overflow_key,
     pick_half,
+    sq_small_size,
 )
 
 PM_PROTOCOL = "pm"
@@ -219,7 +220,7 @@ def preprocess(
     if protocol not in (PM_PROTOCOL, SQ_PROTOCOL):
         raise ValueError(f"unknown protocol {protocol!r}")
     if params.d != dataset.dim:
-        params = params.with_dim(dataset.dim)
+        params = replace(params, d=dataset.dim)
     dist = EmpiricalDistribution(dataset)
     budget = _Budget(node_ceiling)
     ctx = _Ctx(dist, Tapes.from_seed(seed), budget, 0)
@@ -337,21 +338,7 @@ def _build_parities(ctx: _Ctx, d: int, rs, groups: dict[int, Cohort], point_cls,
 
 
 def _build_sq(ctx: _Ctx, params: ProtocolParams, cohort: Cohort, cont):
-    if not cohort:
-        return None
-    d = ctx.dist.dim
-    if params.d != d:
-        params = params.with_dim(d)
-    w = params.w
-
-    if params.is_base_case():
-        small = [(i, x) for i, x in cohort if x.popcount() <= w]
-        sub = _build_base(ctx.fork(), bp.SQ, small, w, w, params.delta_prime, cont)
-        if sub is None:
-            return None
-        return _emit(ctx, ctx.depth, AliceNode, "sq-status", {(STATUS_WIDTH, SMALL): sub})
-
-    return _build_sq_iter(ctx, params, cohort, float(w), 0, cont)
+    return _build_sq_iter(ctx, params, cohort, float(params.w), 0, cont)
 
 
 def _build_sq_iter(
@@ -361,69 +348,78 @@ def _build_sq_iter(
         return None
     if iteration >= params.max_iters:
         return None  # unreachable with faithful parameters
-    w = params.w
-    ell = params.ell
+    small_size = sq_small_size(params)
 
-    small = [(i, x) for i, x in cohort if x.popcount() <= w / ell]
-    window = [(i, x) for i, x in cohort if w / ell < x.popcount() <= w_cur]
+    small = [(i, x) for i, x in cohort if x.popcount() <= small_size]
+    window = [(i, x) for i, x in cohort if small_size < x.popcount() <= w_cur]
 
     children: dict[tuple[int, int], object] = {}
 
-    if small:
-        sub = _build_base(ctx.fork(), bp.SQ, small, w / ell, w, params.delta_prime, cont)
-        if sub is not None:
-            children[(STATUS_WIDTH, SMALL)] = sub
+    sub = _build_base(ctx.fork(), bp.SQ, small, small_size, params.w, params.delta_prime, cont)
+    if sub is not None:
+        children[(STATUS_WIDTH, SMALL)] = sub
 
     if window:
         big_ctx = ctx.fork()
         batch = draw_conditioned_batch(
-            big_ctx.dist, w / ell, w_cur, params.t, big_ctx.tapes.pub, Transcript()
+            big_ctx.dist, small_size, w_cur, params.t, big_ctx.tapes.pub, Transcript()
         )
+
+        def overlaps():
+            # Query found a near-subset sample: every (index, overflow rank).
+            h = params.h
+            for istar, xi in enumerate(batch):
+                count = bp.subset_count(xi.popcount(), math.floor(h))
+                for rank in range(count):
+                    overflow = bp.unrank_subset(xi, rank, math.floor(h))
+                    survivors = [(i, x) for i, x in window if not x.intersects(overflow)]
+                    if not survivors:
+                        continue
+                    shed = xi.popcount() - overflow.popcount()
+                    keep = xi.complement()
+                    dom = CoordDomain.full(keep.dim).select(keep)
+                    sub_ctx = big_ctx.fork(big_ctx.dist.restrict_relative(keep), levels=4)
+                    shrunk = [(i, x.restrict(dom)) for i, x in survivors]
+                    sub = _build_sq_iter(sub_ctx, params, shrunk, w_cur - shed, iteration + 1, cont)
+                    yield overflow_key(istar, params.t, xi, rank, h), sub
+
+        def halving():
+            n_halving = halving_count(params.ell, params.delta_prime)
+            return _build_halving(
+                big_ctx, params, window, w_cur, n_halving, SQ_PROTOCOL, _build_sq, cont
+            )
+
         if batch is not None:
-            tag = _build_sq_after_batch(big_ctx, params, window, w_cur, iteration, batch, cont)
-            if tag is not None:
-                ctx.budget.note(ctx.depth + 1, 1)
-                carol = CarolNode("sq-cond-batch", big_ctx.dist.dim, tuple(batch), False, tag)
+            carol = _build_near_step(big_ctx, SQ_PROTOCOL, batch, overlaps(), halving)
+            if carol is not None:
                 children[(STATUS_WIDTH, BIG)] = carol
 
     return _emit(ctx, ctx.depth, AliceNode, "sq-status", children)
 
 
-def _build_sq_after_batch(
-    ctx: _Ctx, params: ProtocolParams, cohort: Cohort, w_cur: float, iteration: int, batch, cont
-):
-    h = params.h
+def _build_near_step(ctx: _Ctx, protocol: str, batch, found, none):
+    """The near-sample step over a drawn batch: the stored batch, the query's
+    announcement, one point-side gate per (key, sub-tree) pair that found
+    yields under the sample index, and the halving step none() under "no near
+    sample"."""
+    batch_site, tag_site, index_site, gate_site = _NEAR_SITES[protocol]
+    gates: dict[tuple[int, int], object] = {}
+    for key, sub in found:
+        if sub is not None:
+            gate = {(STATUS_WIDTH, CONTINUE): sub}
+            gates[key] = _emit(ctx, ctx.depth + 3, AliceNode, gate_site, gate)
     tag_children: dict[tuple[int, int], object] = {}
-
-    # Query found a near-subset sample: fork over every (index, overflow rank).
-    pair_children: dict[tuple[int, int], object] = {}
-    for istar, xi in enumerate(batch):
-        count = bp.subset_count(xi.popcount(), math.floor(h))
-        for rank in range(count):
-            overflow = bp.unrank_subset(xi, rank, math.floor(h))
-            survivors = [(i, x) for i, x in cohort if not x.intersects(overflow)]
-            if not survivors:
-                continue
-            shed = xi.popcount() - overflow.popcount()
-            keep = xi.complement()
-            dom = CoordDomain.full(keep.dim).select(keep)
-            sub_ctx = ctx.fork(ctx.dist.restrict_relative(keep), levels=4)
-            shrunk = [(i, x.restrict(dom)) for i, x in survivors]
-            sub = _build_sq_iter(sub_ctx, params, shrunk, w_cur - shed, iteration + 1, cont)
-            if sub is not None:
-                pair_children[overflow_key(istar, params.t, xi, rank, h)] = _emit(
-                    ctx, ctx.depth + 3, AliceNode, "sq-overlap-tag", {(STATUS_WIDTH, CONTINUE): sub}
-                )
-    pairs = _emit(ctx, ctx.depth + 2, BobNode, "sq-xi-index-rank", pair_children)
-    if pairs is not None:
-        tag_children[(STATUS_WIDTH, CONTINUE)] = pairs
-
-    # No near-subset sample: the halving step.
-    n_halving = halving_count(params.ell, params.delta_prime)
-    halving = _build_halving(ctx, params, cohort, w_cur, n_halving, SQ_PROTOCOL, _build_sq, cont)
+    index = _emit(ctx, ctx.depth + 2, BobNode, index_site, gates)
+    if index is not None:
+        tag_children[(STATUS_WIDTH, CONTINUE)] = index
+    halving = none()
     if halving is not None:
         tag_children[(STATUS_WIDTH, BIG)] = halving
-    return _emit(ctx, ctx.depth + 1, BobNode, "sq-xi-tag", tag_children)
+    tag = _emit(ctx, ctx.depth + 1, BobNode, tag_site, tag_children)
+    if tag is None:
+        return None
+    ctx.budget.note(ctx.depth, 1)
+    return CarolNode(batch_site, ctx.dist.dim, tuple(batch), False, tag)
 
 
 def _build_halving(
@@ -465,9 +461,6 @@ def _build_halving(
 def _build_pm(ctx: _Ctx, params: ProtocolParams, cohort: Cohort, cont):
     if not cohort:
         return None
-    d = ctx.dist.dim
-    if params.d != d:
-        params = params.with_dim(d)
     w = params.w
 
     if params.is_base_case():
@@ -479,43 +472,28 @@ def _build_pm(ctx: _Ctx, params: ProtocolParams, cohort: Cohort, cont):
     batch = tuple(ctx.dist.sample(ctx.tapes.pub) for _ in range(t))
     iw = index_width(t)
 
-    tag_children: dict[tuple[int, int], object] = {}
+    def shifts():
+        # Near-match found: per candidate index, re-center and run both containments.
+        for istar, xi in enumerate(batch):
+            shifted = [(i, x ^ xi) for i, x in cohort]
+            light = [(i, xs) for i, xs in shifted if xs.popcount() <= sub_sq.w]
+            if not light:
+                continue
 
-    # Near-match found: per candidate index, re-center and run both containments.
-    idx_children: dict[tuple[int, int], object] = {}
-    for istar, xi in enumerate(batch):
-        shifted = [(i, x ^ xi) for i, x in cohort]
-        light = [(i, xs) for i, xs in shifted if xs.popcount() <= sub_sq.w]
-        if not light:
-            continue
+            def cont_reverse(ctx2: _Ctx, pts: Cohort, _map=dict(light)):
+                recon_cohort = [(i, _map[i]) for i, _ in pts]
+                return _build_base(
+                    ctx2, bp.SQ, recon_cohort, h, sub_sq.w, sub_sq.delta, cont, swapped=True
+                )
 
-        def cont_reverse(ctx2: _Ctx, pts: Cohort, _map=dict(light)):
-            recon_cohort = [(i, _map[i]) for i, _ in pts]
-            return _build_base(
-                ctx2, bp.SQ, recon_cohort, h, sub_sq.w, sub_sq.delta, cont, swapped=True
-            )
+            sub_ctx = ctx.fork(ctx.dist.xor_shift(xi), levels=4)
+            yield (iw, istar), _build_sq(sub_ctx, sub_sq, light, cont_reverse)
 
-        sub_ctx = ctx.fork(ctx.dist.xor_shift(xi), levels=4)
-        sub = _build_sq(sub_ctx, sub_sq, light, cont_reverse)
-        if sub is not None:
-            idx_children[(iw, istar)] = _emit(
-                ctx, ctx.depth + 3, AliceNode, "pm-shift-tag", {(STATUS_WIDTH, CONTINUE): sub}
-            )
-    idx_node = _emit(ctx, ctx.depth + 2, BobNode, "pm-xi-index", idx_children)
-    if idx_node is not None:
-        tag_children[(STATUS_WIDTH, CONTINUE)] = idx_node
+    def halving():
+        n_halving = pm_halving_count(params.delta)
+        return _build_halving(ctx, params, cohort, w, n_halving, PM_PROTOCOL, _build_pm, cont)
 
-    # No near-match: the halving step.
-    n_halving = pm_halving_count(params.delta)
-    halving = _build_halving(ctx, params, cohort, w, n_halving, PM_PROTOCOL, _build_pm, cont)
-    if halving is not None:
-        tag_children[(STATUS_WIDTH, BIG)] = halving
-
-    tag_node = _emit(ctx, ctx.depth + 1, BobNode, "pm-xi-tag", tag_children)
-    if tag_node is None:
-        return None
-    ctx.budget.note(ctx.depth, 1)
-    return CarolNode("pm-batch", d, batch, False, tag_node)
+    return _build_near_step(ctx, PM_PROTOCOL, batch, shifts(), halving)
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +687,7 @@ def _step(walk: _Walk, node, key: tuple[int, int], kind=None, site: str = "", wh
 
 
 def _walk_sq(walk: _Walk, node, params: ProtocolParams, y: BitVector, cont) -> None:
-    if params.d != y.dim:
-        params = params.with_dim(y.dim)
-    w = params.w
-    if params.is_base_case():
-        _expect(node, AliceNode, "sq-status", "the size announcement")
-        sub = _step(walk, node, (STATUS_WIDTH, SMALL))
-        if sub is not None:
-            _walk_base(walk, sub, y, w, w, bp.SQ, False, cont)
-        return
-    _walk_sq_iter(walk, node, params, y, float(w), 0, cont)
+    _walk_sq_iter(walk, node, params, y, float(params.w), 0, cont)
 
 
 def _walk_sq_iter(
@@ -726,49 +695,62 @@ def _walk_sq_iter(
 ) -> None:
     if iteration >= params.max_iters:
         return
-    w = params.w
-    ell = params.ell
-    h = params.h
     _expect(node, AliceNode, "sq-status", "the size announcement")
 
     small = _step(walk, node, (STATUS_WIDTH, SMALL))
     if small is not None:
-        _walk_base(walk, small, y_cur, w / ell, w, bp.SQ, False, cont)
+        _walk_base(walk, small, y_cur, sq_small_size(params), params.w, bp.SQ, False, cont)
 
-    big = _step(
-        walk, node, (STATUS_WIDTH, BIG), CarolNode, "sq-cond-batch", "the conditioned sample batch"
-    )
+    big = _step(walk, node, (STATUS_WIDTH, BIG))
     if big is None:
         return
-    batch = big.vectors
-    walk.bits_walked += big.dim * len(batch)
-    tag_node = _expect(big.child, BobNode, "sq-xi-tag", "the near-subset announcement")
 
-    istar = near_subset_index(batch, y_cur, h)
-    if istar is None:
-        mask = y_cur.value
-        _walk_halving(walk, tag_node, params, y_cur, mask, w_cur, SQ_PROTOCOL, _walk_sq, cont)
-        return
-    sub = _step(
-        walk, tag_node, (STATUS_WIDTH, CONTINUE), BobNode, "sq-xi-index-rank",
-        "the sample index message",
+    def overlap(batch):
+        h = params.h
+        istar = near_subset_index(batch, y_cur, h)
+        if istar is None:
+            return None
+        xi = batch[istar]
+        overflow = xi.diff(y_cur)
+        rank = bp.rank_subset(xi, overflow, math.floor(h))
+        keep = xi.complement()
+        dom = CoordDomain.full(keep.dim).select(keep)
+        w_next = w_cur - (xi.popcount() - overflow.popcount())
+        return overflow_key(istar, params.t, xi, rank, h), lambda onward: _walk_sq_iter(
+            walk, onward, params, y_cur.restrict(dom), w_next, iteration + 1, cont
+        )
+
+    _walk_near_step(
+        walk, big, SQ_PROTOCOL, overlap,
+        lambda tag: _walk_halving(
+            walk, tag, params, y_cur, y_cur.value, w_cur, SQ_PROTOCOL, _walk_sq, cont
+        ),
     )
-    if sub is None:
+
+
+def _walk_near_step(walk: _Walk, node, protocol: str, found, none) -> None:
+    """Follow the near-sample step: read the stored batch; found(batch) gives
+    the key of the query's near sample and the callable that walks on below
+    its gate, or None, in which case none(tag) takes the halving step below
+    the announcement."""
+    batch_site, tag_site, index_site, gate_site = _NEAR_SITES[protocol]
+    _expect(node, CarolNode, batch_site, "the sample batch")
+    walk.bits_walked += node.dim * len(node.vectors)
+    tag = _expect(node.child, BobNode, tag_site, "the near-sample announcement")
+    hit = found(node.vectors)
+    if hit is None:
+        none(tag)
         return
-    xi = batch[istar]
-    overflow = xi.diff(y_cur)
-    rank = bp.rank_subset(xi, overflow, math.floor(h))
-    key = overflow_key(istar, params.t, xi, rank, h)
-    child = _step(walk, sub, key, AliceNode, "sq-overlap-tag", "the overlap announcement")
-    if child is None:
+    key, onward = hit
+    index = _step(walk, tag, (STATUS_WIDTH, CONTINUE), BobNode, index_site, "the sample index")
+    if index is None:
         return
-    onward = _step(walk, child, (STATUS_WIDTH, CONTINUE))
-    if onward is None:
+    gate = _step(walk, index, key, AliceNode, gate_site, "the point-side gate")
+    if gate is None:
         return
-    keep = xi.complement()
-    dom = CoordDomain.full(keep.dim).select(keep)
-    shed = xi.popcount() - overflow.popcount()
-    _walk_sq_iter(walk, onward, params, y_cur.restrict(dom), w_cur - shed, iteration + 1, cont)
+    sub = _step(walk, gate, (STATUS_WIDTH, CONTINUE))
+    if sub is not None:
+        onward(sub)
 
 
 def _walk_halving(
@@ -808,45 +790,32 @@ def _walk_halving(
 
 
 def _walk_pm(walk: _Walk, node, params: ProtocolParams, y: TernaryPattern, cont) -> None:
-    if params.d != y.dim:
-        params = params.with_dim(y.dim)
     w = params.w
     if params.is_base_case():
         _walk_base(walk, node, y, w, w, bp.PM, False, cont)
         return
 
     h = pm_gap(params)
-    _expect(node, CarolNode, "pm-batch", "the near-match batch")
-    batch = node.vectors
-    walk.bits_walked += node.dim * len(batch)
-    tag_node = _expect(node.child, BobNode, "pm-xi-tag", "the near-match announcement")
-
-    istar = near_match_index(batch, y, h)
-    if istar is None:
-        _walk_halving(walk, tag_node, params, y, y.stars, w, PM_PROTOCOL, _walk_pm, cont)
-        return
-    idx_node = _step(
-        walk, tag_node, (STATUS_WIDTH, CONTINUE), BobNode, "pm-xi-index", "the near-match index"
-    )
-    if idx_node is None:
-        return
-    gate = _step(
-        walk, idx_node, (index_width(pm_round_samples(params)), istar), AliceNode,
-        "pm-shift-tag", "the shift weight announcement",
-    )
-    if gate is None:
-        return
-    sub = _step(walk, gate, (STATUS_WIDTH, CONTINUE))
-    if sub is None:
-        return
-    y_shift = shifted_pattern(y, batch[istar])
-    hits = y_shift.ones_vector()
     sub_sq = shift_params(params, h)
 
-    def cont_reverse(walk2: _Walk, node2) -> None:
-        _walk_base(walk2, node2, hits, h, sub_sq.w, bp.SQ, True, cont)
+    def near_match(batch):
+        istar = near_match_index(batch, y, h)
+        if istar is None:
+            return None
+        y_shift = shifted_pattern(y, batch[istar])
+        hits = y_shift.ones_vector()
 
-    _walk_sq(walk, sub, sub_sq, y_shift.star_vector() | hits, cont_reverse)
+        def cont_reverse(walk2: _Walk, node2) -> None:
+            _walk_base(walk2, node2, hits, h, sub_sq.w, bp.SQ, True, cont)
+
+        return (index_width(pm_round_samples(params)), istar), lambda onward: _walk_sq(
+            walk, onward, sub_sq, y_shift.star_vector() | hits, cont_reverse
+        )
+
+    _walk_near_step(
+        walk, node, PM_PROTOCOL, near_match,
+        lambda tag: _walk_halving(walk, tag, params, y, y.stars, w, PM_PROTOCOL, _walk_pm, cont),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -902,6 +871,11 @@ _SITES = [
     "pm-half-index",
 ]
 _SITE_CODE = {s: i for i, s in enumerate(_SITES)}
+# The sites of the near-sample step, in the order the step stores them.
+_NEAR_SITES = {
+    SQ_PROTOCOL: ("sq-cond-batch", "sq-xi-tag", "sq-xi-index-rank", "sq-overlap-tag"),
+    PM_PROTOCOL: ("pm-batch", "pm-xi-tag", "pm-xi-index", "pm-shift-tag"),
+}
 _SITE_NAME = dict(enumerate(_SITES))
 _MODE_CODE = {bp.PM: 0, bp.SQ: 1}
 _MODE_NAME = {v: k for k, v in _MODE_CODE.items()}
@@ -1102,10 +1076,12 @@ def deserialize(data: bytes, dataset: Dataset) -> ProtocolTree:
     return ProtocolTree(root, meta, dataset)
 
 
-def save_tree(tree: ProtocolTree, path) -> None:
+def save_tree(tree: ProtocolTree, path) -> int:
+    """Write the tree's bytes to path and return their count; a refused tree leaves no file."""
     data = serialize(tree)
     with open(path, "wb") as fh:
         fh.write(data)
+    return len(data)
 
 
 def load_tree(path, dataset: Dataset) -> ProtocolTree:

@@ -29,18 +29,6 @@ class EmptySupport:
 EMPTY_SUPPORT = EmptySupport()
 
 
-class OpCounter:
-    """Work-unit meter for the sampling/restriction cost assertions."""
-
-    __slots__ = ("units",)
-
-    def __init__(self):
-        self.units = 0
-
-    def charge(self, units: int) -> None:
-        self.units += units
-
-
 class EmpiricalDistribution:
     __slots__ = (
         "base",
@@ -50,7 +38,6 @@ class EmpiricalDistribution:
         "_buckets",
         "_proj_cache",
         "_qual_cache",
-        "counter",
     )
 
     def __init__(
@@ -59,7 +46,6 @@ class EmpiricalDistribution:
         domain: CoordDomain | None = None,
         support: tuple[int, ...] | None = None,
         shift: BitVector | None = None,
-        counter: OpCounter | None = None,
     ):
         self.base = base
         self.domain = domain if domain is not None else CoordDomain.full(base.dim)
@@ -72,7 +58,6 @@ class EmpiricalDistribution:
         self._buckets = None
         self._proj_cache = None
         self._qual_cache = {}
-        self.counter = counter if counter is not None else OpCounter()
 
     @property
     def dim(self) -> int:
@@ -85,7 +70,6 @@ class EmpiricalDistribution:
 
     def _projections(self) -> list[BitVector]:
         if self._proj_cache is None:
-            self.counter.charge(len(self.support) * max(1, (self.dim + 63) // 64))
             self._proj_cache = [self.projected(i) for i in self.support]
         return self._proj_cache
 
@@ -93,7 +77,6 @@ class EmpiricalDistribution:
         if not self.support:
             raise ValueError("cannot sample from an empty support")
         pos = rng.draw_below(len(self.support))
-        self.counter.charge(max(1, (self.dim + 63) // 64))
         return self._projections()[pos]
 
     def _popcount_buckets(self) -> dict[int, list[int]]:
@@ -112,7 +95,6 @@ class EmpiricalDistribution:
         qualifying = self._qual_cache.get((lo, hi))
         if qualifying is None:
             buckets = self._popcount_buckets()
-            self.counter.charge(max(1, len(self.support)))
             qualifying = [
                 pos for pc in sorted(buckets) if lo < pc <= hi for pos in buckets[pc]
             ]
@@ -120,7 +102,6 @@ class EmpiricalDistribution:
         if not qualifying:
             return EMPTY_SUPPORT
         pos = qualifying[rng.draw_below(len(qualifying))]
-        self.counter.charge(max(1, (self.dim + 63) // 64))
         return self._projections()[pos]
 
     def restrict_dist(self, sub: CoordDomain) -> "EmpiricalDistribution":
@@ -132,8 +113,7 @@ class EmpiricalDistribution:
             rel_of = {c: j for j, c in enumerate(self.domain.active)}
             rel_positions = tuple(rel_of[c] for c in sub.active)
             new_shift = self.shift.restrict(CoordDomain(self.domain.size, rel_positions))
-        self.counter.charge(len(self.support))
-        return EmpiricalDistribution(self.base, sub, self.support, new_shift, self.counter)
+        return EmpiricalDistribution(self.base, sub, self.support, new_shift)
 
     def restrict_relative(self, keep: BitVector) -> "EmpiricalDistribution":
         """Restrict to the relative positions set in keep (a mask over the current size)."""
@@ -144,4 +124,4 @@ class EmpiricalDistribution:
         if shift.dim != self.dim:
             raise ValueError("shift must have the domain's size")
         combined = shift if self.shift is None else shift ^ self.shift
-        return EmpiricalDistribution(self.base, self.domain, self.support, combined, self.counter)
+        return EmpiricalDistribution(self.base, self.domain, self.support, combined)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bits import BitVector
 
@@ -284,9 +284,6 @@ class ProtocolParams:
 
     def is_base_case(self) -> bool:
         return self.w <= self.base_factor * math.log2(self.w / self.eps)
-
-    def with_dim(self, d: int) -> "ProtocolParams":
-        return replace(self, d=d)
 
 
 def derive_params(

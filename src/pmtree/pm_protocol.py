@@ -127,8 +127,6 @@ def pm_exec(
     d = dist.dim
     if x.dim != d or y.dim != d:
         raise ValueError("inputs must live on the distribution's domain")
-    if params.d != d:
-        params = params.with_dim(d)
     w = params.w
     if y.star_count() > w:
         raise ValueError(f"query has {y.star_count()} stars, budget is {w}")

@@ -1,11 +1,13 @@
 """Sparse subset-query protocol.
 
-Small budgets route straight to the parity-check subroutine. Larger ones loop:
-the point side announces its size class, the public channel draws samples
-conditioned on a size window, and either a near-subset sample lets everyone
-shed its coordinates, or random halving sets shrink the budget and the
-protocol recurses at half the error. Output-1 paths only ever overshoot
-(false positives); every 0 output is certified by a witness.
+One loop: each round the point side announces its size class, small points
+go to the parity-check subroutine, and for the rest the public channel draws
+samples conditioned on a size window; either a near-subset sample lets
+everyone shed its coordinates, or random halving sets shrink the budget and
+the protocol recurses at half the error. The base case is the loop's first
+round, in which every point within the budget counts as small. Output-1 paths
+only ever overshoot (false positives); every 0 output is certified by a
+witness.
 """
 
 from __future__ import annotations
@@ -90,6 +92,12 @@ def parity_stage(
     return base_exec(mode, x, y, z, w, delta, seg, tapes, tr, swap_roles=swapped)
 
 
+def sq_small_size(params: ProtocolParams) -> float:
+    """Largest point size a round sends to the parity check: the whole budget
+    w in the base case, w / ell in the loop."""
+    return params.w if params.is_base_case() else params.w / params.ell
+
+
 def halving_count(ell: float, delta_prime: float) -> int:
     return max(1, math.ceil(math.log2(10.0 * ell / delta_prime)))
 
@@ -140,20 +148,12 @@ def sq_exec(
     d = dist.dim
     if x.dim != d or y.dim != d:
         raise ValueError("inputs must live on the distribution's domain")
-    if params.d != d:
-        params = params.with_dim(d)
     w = params.w
     if y.popcount() > w:
         raise ValueError(f"query has {y.popcount()} ones, budget is {w}")
 
-    if params.is_base_case():
-        if x.popcount() > w:
-            tr.append(status_message(Player.ALICE, OUT0, "size-over-budget"))
-            return 0
-        tr.append(status_message(Player.ALICE, SMALL, "size-ok"))
-        return parity_stage(feed, SQ, x, y, w, w, params.delta_prime, tapes, tr)
-
-    ell = params.ell
+    small = sq_small_size(params)
+    small_label = "size-ok" if params.is_base_case() else "size-small"
     t = params.t
     h = params.h
     w_cur = float(w)
@@ -167,12 +167,12 @@ def sq_exec(
         if x_cur.popcount() > w_cur:
             tr.append(status_message(Player.ALICE, OUT0, "size-over-budget"))
             return 0
-        if x_cur.popcount() <= w / ell:
-            tr.append(status_message(Player.ALICE, SMALL, "size-small"))
-            return parity_stage(feed, SQ, x_cur, y_cur, w / ell, w, params.delta_prime, tapes, tr)
+        if x_cur.popcount() <= small:
+            tr.append(status_message(Player.ALICE, SMALL, small_label))
+            return parity_stage(feed, SQ, x_cur, y_cur, small, w, params.delta_prime, tapes, tr)
 
         tr.append(status_message(Player.ALICE, BIG, "size-in-window"))
-        batch = draw_conditioned_batch(dist_cur, w / ell, w_cur, t, tapes.pub, tr)
+        batch = draw_conditioned_batch(dist_cur, small, w_cur, t, tapes.pub, tr)
         if batch is None:
             return 0
 
@@ -190,7 +190,7 @@ def sq_exec(
                 return 0
             tr.append(status_message(Player.ALICE, CONTINUE, "no-overlap"))
             shed = xi.popcount() - overflow.popcount()
-            if params.base_factor >= 100.0 and params.t_cap is None and shed < 0.9 * w / ell - 1e-9:
+            if params.base_factor >= 100.0 and params.t_cap is None and shed < 0.9 * small - 1e-9:
                 raise ProtocolError("a near-subset sample shed fewer coordinates than its bound")
             keep = xi.complement()
             dom = CoordDomain.full(keep.dim).select(keep)
@@ -200,7 +200,7 @@ def sq_exec(
             w_cur -= shed
             continue
 
-        n_halving = halving_count(ell, params.delta_prime)
+        n_halving = halving_count(params.ell, params.delta_prime)
         return halving_exec(
             params, dist_cur, x_cur, y_cur, n_halving, y_cur.value, w_cur, tapes, tr,
             lambda sub, dist_h, x_h, y_h: sq_exec(sub, dist_h, x_h, y_h, tapes, tr, feed),

@@ -1,18 +1,28 @@
 import json
+import os
 
+import pytest
+
+from pmtree import compiler
 from pmtree.cli import main
 from pmtree.bits import Dataset
 from pmtree.compiler import Leaf, load_tree, save_tree
 
 
-def test_gen_build_query_round_trip(tmp_path, capsys):
+def test_gen_build_query_round_trip(tmp_path, capsys, monkeypatch):
     inst = str(tmp_path / "inst")
     tree = str(tmp_path / "tree.bin")
     assert main(["gen", "--n", "64", "--d", "16", "--w", "4", "--n-queries", "6",
                  "--seed", "3", "--out", inst]) == 0
-    assert main(["build", "--dataset", inst + ".dataset", "--w", "4", "--seed", "1",
-                 "--out", tree]) == 0
+    # The build serializes the tree once (each serialize checks the params it
+    # stores through _stored_params) and reports the size it wrote.
+    stored, calls = compiler._stored_params, []
+    monkeypatch.setattr(compiler, "_stored_params", lambda *a: calls.append(a) or stored(*a))
     capsys.readouterr()
+    assert main(["build", "--dataset", inst + ".dataset", "--w", "4", "--seed", "1",
+                 "--out", tree, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bytes"] == os.path.getsize(tree)
+    assert len(calls) == 1
     assert main(["query", "--tree", tree, "--dataset", inst + ".dataset",
                  "--queries", inst + ".queries"]) == 0
     # One line per query: "query <i>: <k> matches: <ids>"
@@ -79,3 +89,15 @@ def test_input_errors_exit_1_without_traceback(tmp_path, capsys):
 
 def test_verify_one_criterion():
     assert main(["verify", "--only", "10", "--quick"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sim", "--protocol", "pm", "--trials", "5"],
+    ["sim", "--protocol", "sq", "--trials", "5"],
+    ["bench", "--sweep-n", "64,128", "--queries", "5"],
+    ["verify", "--only", "10", "--quick"],
+])
+def test_json_output_is_one_object(argv, capsys):
+    # sim runs without --w on the default budget max(2, d // 8).
+    assert main(argv + ["--json"]) == 0
+    assert isinstance(json.loads(capsys.readouterr().out), dict)

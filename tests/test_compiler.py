@@ -1,6 +1,9 @@
+import functools
 import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from pmtree.bits import BitVector, Dataset, TernaryPattern
 from pmtree.compiler import (
@@ -15,7 +18,7 @@ from pmtree.compiler import (
     save_tree,
     serialize,
 )
-from pmtree.engine import RandomTape, Stream, derive_params
+from pmtree.engine import ParamError, RandomTape, Stream, derive_params
 from pmtree.generators import gen_planted, nonmatching_pm_queries, random_pattern_query
 from pmtree.oracles import brute_force_pm, brute_force_sq
 from pmtree.presets import desk_params
@@ -283,3 +286,43 @@ def test_leaf_id_outside_the_dataset_raises_tree_error():
     leaf.candidates = leaf.candidates[:-1] + (tree.dataset.n,)
     with pytest.raises(TreeError, match="not a point"):
         deserialize(serialize(tree), tree.dataset)
+
+
+@functools.cache
+def _fuzz_case(name):
+    """The bytes of a valid tree, its dataset and 20 queries within its budget."""
+    if name == "pm-loop":
+        ds = _random_dataset(10, 10, seed=11, sparse=True)
+        params = derive_params(10, 6, 0.25, 0.05, t_cap=3, base_factor=1.0)
+        tree = preprocess(ds, "pm", params, seed=33, node_ceiling=1 << 22)
+    else:
+        ds = _random_dataset(64, 16, seed=21)
+        tree = preprocess(ds, "pm", desk_params(64, 16, 4), seed=5)
+    tape = RandomTape(7, Stream.PUB)
+    queries = [random_pattern_query(ds.dim, int(tree.meta.params.w), tape) for _ in range(20)]
+    return serialize(tree), ds, queries
+
+
+@pytest.mark.parametrize("name", ["pm-loop", "pm-base"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_tree_file_loads_or_raises_tree_error(name, data):
+    blob, ds, queries = _fuzz_case(name)
+    mutated = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutated[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    try:
+        tree = deserialize(bytes(mutated), ds)
+    except (TreeError, ParamError):
+        return
+    for q in queries:
+        # Format v1 has no checksum, so a flipped byte of w loads as a smaller
+        # budget; query then refuses the queries above it.
+        if q.star_count() > tree.meta.params.w:
+            with pytest.raises(ValueError, match="budget"):
+                query(tree, q)
+            continue
+        try:
+            query(tree, q)
+        except TreeError:
+            pass

@@ -113,27 +113,6 @@ def test_determinism_same_seed_same_sequence():
     assert seq1 == seq2
 
 
-def test_sample_and_update_cost_bound():
-    d, n = 64, 200
-    tape = RandomTape(13, Stream.PUB)
-    ds = Dataset(d, tuple(BitVector(d, tape.draw_bits(d)) for _ in range(n)))
-    dist = EmpiricalDistribution(ds)
-    words = max(1, (d + 63) // 64)
-    bound = 32 * n * words
-
-    before = dist.counter.units
-    dist.sample(tape)
-    assert dist.counter.units - before <= bound
-
-    before = dist.counter.units
-    dist.sample_size_conditioned(0, d, tape)
-    assert dist.counter.units - before <= bound
-
-    before = dist.counter.units
-    sub = dist.restrict_relative(BitVector(d, (1 << 32) - 1))
-    assert sub.counter.units - before <= bound
-
-
 def test_xor_shift_samples_are_shifted():
     dist = EmpiricalDistribution(_dataset("1100", "0011"))
     shift = BitVector.from01("1111")
