@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from . import base_protocol as bp
-from .bits import BitVector, Dataset, TernaryPattern, match_pm, subset_of
+from .bits import BitVector, Dataset, TernaryPattern, match_pm
 from .compiler import preprocess, query, serialize
 from .disjointness import (
     StdParams,
@@ -25,9 +25,8 @@ from .disjointness import (
 from .dist import EmpiricalDistribution
 from .engine import RandomTape, Stream, Tapes, derive_params
 from .generators import distinct_positions, gen_planted, gen_random_sq, nonmatching_pm_queries
-from .oracles import brute_force_pm, brute_force_sq
 from .pm_protocol import pm_special_advice, run_pm
-from .presets import desk_delta, desk_params
+from .presets import desk_params
 from .reports import loglog_slope, mean
 from .sq_protocol import run_sq, sq_special_advice
 

@@ -32,10 +32,9 @@ class CliError(Exception):
 _NUMBER = (int, float)
 _DESK_KEYS = {"preset": (str,), "w": _NUMBER, "eps": _NUMBER, "delta": _NUMBER, "t_cap": (int,)}
 _DERIVE_KEYS = {
-    **_DESK_KEYS, "base_factor": _NUMBER, "t_override": (int,), "h_override": _NUMBER,
-    "max_iters_override": (int,), "debug_checks": (bool,),
+    **_DESK_KEYS, "base_factor": _NUMBER, "h_override": _NUMBER, "max_iters_override": (int,),
 }
-_NULLABLE = {"w", "delta", "t_cap", "t_override", "h_override", "max_iters_override"}
+_NULLABLE = {"w", "delta", "t_cap", "h_override", "max_iters_override"}
 
 
 def _read_params_file(path) -> dict:

@@ -515,13 +515,9 @@ class _Walk:
     def scan(self, leaf: Leaf) -> None:
         self.leaves_visited += 1
         self.candidates_scanned += len(leaf.candidates)
+        test = match_pm if self.protocol == PM_PROTOCOL else subset_of
         for i in leaf.candidates:
-            ok = (
-                match_pm(self.points[i], self.y_root)
-                if self.protocol == PM_PROTOCOL
-                else subset_of(self.points[i], self.y_root)
-            )
-            if ok:
+            if test(self.points[i], self.y_root):
                 self.matches.add(i)
             else:
                 self.candidates_rejected += 1
@@ -578,13 +574,11 @@ def _walk_base(walk: _Walk, node, y_cur, z: float, w: float, mode: str, swapped:
             raise TreeError("expected point parities")
         width = bp.advice_width(mode, y_cur, z)
         reachable = _recon_reachability(mode, y_cur, z, rs)
-        for (nbits, a), bob in sorted(alice.children.items()):
+        for (nbits, a), bob in alice.children.items():
             if not isinstance(bob, BobNode):
                 raise TreeError("expected reconstruction parities")
             child = bob.children.get((nbits, a))
-            if child is None:
-                continue
-            if not reachable(a):
+            if child is None or not reachable(a):
                 continue
             walk.bits_walked += width + 2 * nbits
             cont(walk, child)
@@ -594,11 +588,14 @@ def _walk_base(walk: _Walk, node, y_cur, z: float, w: float, mode: str, swapped:
     # the point side here.
     if not isinstance(node, MerlinExplicit):
         raise TreeError("expected an explicit advice edge")
-    for (mwidth, _m), carol in sorted(node.children.items()):
+    rs = None
+    for (mwidth, _m), carol in node.children.items():
         if not isinstance(carol, CarolNode) or not carol.private:
             raise TreeError("expected stored parity vectors")
-        rs = carol.vectors
-        b = bp.parity_vector(y_cur, rs)
+        if carol.vectors is not rs:
+            # The advice values of one stage share their rs, and so their b.
+            rs = carol.vectors
+            b = bp.parity_vector(y_cur, rs)
         bob = carol.child
         if not isinstance(bob, BobNode):
             raise TreeError("expected point parities")
@@ -608,17 +605,16 @@ def _walk_base(walk: _Walk, node, y_cur, z: float, w: float, mode: str, swapped:
         walk.bits_walked += mwidth + carol.dim * len(rs) + len(rs)
         if not isinstance(child, AliceNode):
             raise TreeError("expected reconstruction parities")
-        for (nbits, a), leafward in sorted(child.children.items()):
-            if a != b:
-                continue
-            walk.bits_walked += nbits
+        leafward = child.children.get((len(rs), b))
+        if leafward is not None:
+            walk.bits_walked += len(rs)
             cont(walk, leafward)
 
 
 def _recon_reachability(mode: str, y_cur, z: float, rs):
-    """Exact membership test for the set of parity vectors some advice value
-    can reconstruct to: an affine-span check when all payloads are free, a
-    direct enumeration when the subset size cap binds."""
+    """Membership test for the parity vectors some advice value reconstructs
+    to: exact by affine span when all payloads are free, or by enumeration when
+    the subset size cap binds; past the enumeration guard, it accepts all."""
     if mode == bp.PM:
         offset = bp.parity_vector(y_cur.ones_vector(), rs)
         basis = _span_basis(_parity_columns(rs, y_cur.star_positions()))
@@ -633,7 +629,8 @@ def _recon_reachability(mode: str, y_cur, z: float, rs):
         return lambda target: _reduces_to_zero(basis, target) or target in extra
     total = bp.subset_count(m, zmax)
     if total > _SUBSET_ENUM_LIMIT:
-        raise TreeError("bounded-weight advice enumeration exceeds the guard")
+        # A superset of the reachable buckets; the leaf predicate keeps answers exact.
+        return lambda target: True
     parities = {
         bp.parity_vector(bp.unrank_subset(y_cur, rank, zmax), rs)
         for rank in range(total)
@@ -879,6 +876,7 @@ _NEAR_SITES = {
 _SITE_NAME = dict(enumerate(_SITES))
 _MODE_CODE = {bp.PM: 0, bp.SQ: 1}
 _MODE_NAME = {v: k for k, v in _MODE_CODE.items()}
+_TRUNCATED = "tree file is truncated: it ends inside the {}"
 
 
 # Fixed-size parts of the file. Every node starts with its kind byte.
@@ -895,8 +893,6 @@ _NODE_HEADERS = {
     _NODE_CAROL: struct.Struct("<BBIIB"),  # kind, site, dim, vector count, private
     _NODE_LEAF: struct.Struct("<BI"),  # kind, candidate count
 }
-# The same layouts after the kind byte, which the reader has already taken.
-_NODE_BODIES = {kind: struct.Struct("<" + st.format[2:]) for kind, st in _NODE_HEADERS.items()}
 
 
 def _stored_params(d, w, eps, delta, t_cap, base_factor) -> ProtocolParams:
@@ -970,99 +966,102 @@ def _write_node(buf, node) -> None:
         raise TreeError(f"unserializable node {type(node).__name__}")
 
 
-def _read(buf, n: int, what: str) -> bytes:
-    chunk = buf.read(n)
-    if len(chunk) < n:
-        raise _truncated(what)
-    return chunk
+class _Reader:
+    """A cursor over the bytes of a tree file. Leaf ids must be below n. Runs
+    of vectors with the same dim and bytes come back as one shared tuple, as
+    the builder shares one rs across the advice values of a swapped stage."""
 
+    def __init__(self, data: bytes, n: int):
+        self.data = bytes(data)
+        self.size = len(data)
+        self.pos = 0
+        self.n = n
+        self.runs: dict[tuple[int, bytes], tuple[BitVector, ...]] = {}
 
-def _truncated(what: str) -> TreeError:
-    return TreeError(f"tree file is truncated: it ends inside the {what}")
+    def take(self, size: int, what: str) -> bytes:
+        pos = self.pos
+        self.pos = end = pos + size
+        if end > self.size:
+            raise TreeError(_TRUNCATED.format(what))
+        return self.data[pos:end]
 
+    def unpack(self, layout: struct.Struct, what: str) -> tuple:
+        pos = self.pos
+        self.pos = end = pos + layout.size
+        if end > self.size:
+            raise TreeError(_TRUNCATED.format(what))
+        return layout.unpack_from(self.data, pos)
 
-def _read_head(buf, kind: int) -> tuple:
-    body = _NODE_BODIES[kind]
-    try:
-        return body.unpack(buf.read(body.size))
-    except struct.error:
-        raise _truncated("node header") from None
+    def name(self, names: dict, code: int) -> str:
+        name = names.get(code)
+        if name is None:
+            raise TreeError(f"bad site or mode code {code}")
+        return name
 
+    def children(self, count: int) -> dict:
+        out = {}
+        for _ in range(count):
+            (nbits,) = self.unpack(_COUNT, "message width")
+            value = int.from_bytes(self.take((nbits + 7) // 8, "message value"), "little")
+            out[(nbits, value)] = self.node()
+        return out
 
-def _read_key(buf) -> tuple[int, int]:
-    try:
-        (nbits,) = _COUNT.unpack(buf.read(4))
-    except struct.error:
-        raise _truncated("message width") from None
-    return nbits, int.from_bytes(_read(buf, (nbits + 7) // 8, "message value"), "little")
-
-
-def _name(names: dict, code: int) -> str:
-    name = names.get(code)
-    if name is None:
-        raise TreeError(f"bad site or mode code {code}")
-    return name
-
-
-def _read_children(buf, count: int, n: int) -> dict:
-    return {_read_key(buf): _read_node(buf, n) for _ in range(count)}
-
-
-def _read_node(buf, n: int):
-    """The node at the buffer's position; leaf ids must be below n."""
-    tag = buf.read(1)
-    if not tag:
-        raise _truncated("node kind")
-    kind = tag[0]
-    if kind == _NODE_ALICE or kind == _NODE_BOB:
-        code, count = _read_head(buf, kind)
+    def node(self):
+        if self.pos == self.size:
+            raise TreeError(_TRUNCATED.format("node kind"))
+        kind = self.data[self.pos]
+        layout = _NODE_HEADERS.get(kind)
+        if layout is None:
+            raise TreeError(f"bad node tag {kind}")
+        head = self.unpack(layout, "node header")
+        if kind == _NODE_LEAF:
+            _, count = head
+            ids = struct.unpack(f"<{count}I", self.take(4 * count, "leaf candidates"))
+            if ids and max(ids) >= self.n:
+                raise TreeError(
+                    f"leaf candidate {max(ids)} is not a point of the {self.n}-point dataset"
+                )
+            return Leaf(ids)
+        if kind == _NODE_CAROL:
+            _, code, dim, count, private = head
+            nbytes = max(1, (dim + 7) // 8)
+            raw = self.take(nbytes * count, "parity vectors")
+            vectors = self.runs.get((dim, raw))
+            if vectors is None:
+                vectors = self.runs[(dim, raw)] = tuple(
+                    BitVector(dim, int.from_bytes(raw[k : k + nbytes], "little"))
+                    for k in range(0, len(raw), nbytes)
+                )
+            return CarolNode(self.name(_SITE_NAME, code), dim, vectors, private == 1, self.node())
+        if kind == _NODE_MERLIN_DEFERRED:
+            _, code, z = head
+            return MerlinDeferred(self.name(_MODE_NAME, code), z, self.node())
+        if kind == _NODE_MERLIN_EXPLICIT:
+            _, code, z, cap, count = head
+            return MerlinExplicit(self.name(_MODE_NAME, code), z, cap, self.children(count))
+        _, code, count = head
         cls = AliceNode if kind == _NODE_ALICE else BobNode
-        return cls(_name(_SITE_NAME, code), _read_children(buf, count, n))
-    if kind == _NODE_CAROL:
-        code, dim, count, private = _read_head(buf, kind)
-        nbytes = max(1, (dim + 7) // 8)
-        raw = _read(buf, nbytes * count, "parity vectors")
-        vectors = tuple(
-            BitVector(dim, int.from_bytes(raw[k : k + nbytes], "little"))
-            for k in range(0, len(raw), nbytes)
-        )
-        return CarolNode(_name(_SITE_NAME, code), dim, vectors, private == 1, _read_node(buf, n))
-    if kind == _NODE_LEAF:
-        (count,) = _read_head(buf, kind)
-        ids = struct.unpack(f"<{count}I", _read(buf, 4 * count, "leaf candidates"))
-        if ids and max(ids) >= n:
-            raise TreeError(f"leaf candidate {max(ids)} is not a point of the {n}-point dataset")
-        return Leaf(ids)
-    if kind == _NODE_MERLIN_DEFERRED:
-        code, z = _read_head(buf, kind)
-        return MerlinDeferred(_name(_MODE_NAME, code), z, _read_node(buf, n))
-    if kind == _NODE_MERLIN_EXPLICIT:
-        code, z, cap, count = _read_head(buf, kind)
-        return MerlinExplicit(_name(_MODE_NAME, code), z, cap, _read_children(buf, count, n))
-    raise TreeError(f"bad node tag {kind}")
+        return cls(self.name(_SITE_NAME, code), self.children(count))
 
 
 def deserialize(data: bytes, dataset: Dataset) -> ProtocolTree:
-    buf = io.BytesIO(data)
-    if _read(buf, len(MAGIC), "magic") != MAGIC:
+    r = _Reader(data, dataset.n)
+    if r.take(len(MAGIC), "magic") != MAGIC:
         raise TreeError("bad magic")
-    version, proto_code, seed = _HEADER.unpack(_read(buf, _HEADER.size, "header"))
+    version, proto_code, seed = r.unpack(_HEADER, "header")
     if version != FORMAT_VERSION:
         raise TreeError(f"unsupported format version {version}")
     if proto_code not in (1, 2):
         raise TreeError(f"bad protocol code {proto_code}")
-    raw_params = _PARAMS.unpack(_read(buf, _PARAMS.size, "params"))
-    *stored, node_count, leaf_count, cand_total = raw_params
-    fingerprint = _read(buf, 32, "dataset fingerprint")
+    *stored, node_count, leaf_count, cand_total = r.unpack(_PARAMS, "params")
+    fingerprint = r.take(32, "dataset fingerprint")
     if fingerprint != dataset.fingerprint():
         raise TreeError("tree was built over a different dataset")
-    (nbranch,) = _COUNT.unpack(_read(buf, 4, "branching table"))
-    max_branching = dict(
-        _BRANCH.unpack(_read(buf, _BRANCH.size, "branching table")) for _ in range(nbranch)
-    )
-    root = _read_node(buf, dataset.n) if _read(buf, 1, "root flag")[0] else None
-    if buf.tell() != len(data):
-        raise TreeError(f"tree file has {len(data) - buf.tell()} bytes after the tree")
+    (nbranch,) = r.unpack(_COUNT, "branching table")
+    max_branching = dict(r.unpack(_BRANCH, "branching table") for _ in range(nbranch))
+    root = r.node() if r.take(1, "root flag")[0] else None
+    if r.pos != r.size:
+        raise TreeError(f"tree file has {r.size - r.pos} bytes after the tree")
     meta = TreeMeta(
         protocol=PM_PROTOCOL if proto_code == 1 else SQ_PROTOCOL,
         seed=seed,

@@ -221,11 +221,11 @@ class ParamError(ValueError):
 class ProtocolParams:
     """Shared parameter bundle for the subset-query and partial-match protocols.
 
-    Derived quantities follow the protocol headers with base-2 logs; each one has
-    an override hook so experiments can pin values directly. t_cap bounds the
-    per-round sample count at desk scale; base_factor scales the threshold that
-    routes small sparsity budgets to the base-case protocol (100 is the genuine
-    value, tests shrink it to force the iterative path).
+    Derived quantities follow the protocol headers with base-2 logs; h and
+    max_iters have override hooks so experiments can pin them directly. t_cap
+    bounds the per-round sample count at desk scale; base_factor scales the
+    threshold that routes small sparsity budgets to the base-case protocol (100
+    is the genuine value, tests shrink it to force the iterative path).
     """
 
     d: int
@@ -234,10 +234,8 @@ class ProtocolParams:
     delta: float
     t_cap: int | None = None
     base_factor: float = 100.0
-    t_override: int | None = None
     h_override: float | None = None
     max_iters_override: int | None = None
-    debug_checks: bool = False
 
     def __post_init__(self):
         if self.d < 1:
@@ -262,8 +260,6 @@ class ProtocolParams:
     @property
     def t(self) -> int:
         """Conditioned samples per round; counts take ceilings, caps apply after."""
-        if self.t_override is not None:
-            return self.t_override
         ep = self.eps_prime
         t = math.ceil((10.0 / ep) * math.log2(1.0 / ep))
         if self.t_cap is not None:

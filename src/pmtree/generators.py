@@ -6,7 +6,7 @@ oracles at construction time, so downstream checks never trust the generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bits import BitVector, Dataset, TernaryPattern
 from .engine import RandomTape, Stream

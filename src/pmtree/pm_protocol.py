@@ -34,8 +34,6 @@ from .sq_protocol import AdviceFeed, ProtocolError, halving_exec, parity_stage, 
 
 def pm_round_samples(params: ProtocolParams) -> int:
     """Per-round sample count for the near-match search (cap applies)."""
-    if params.t_override is not None:
-        return params.t_override
     t = math.ceil((100.0 / params.eps) * math.log2(10.0 / params.eps))
     if params.t_cap is not None:
         t = min(t, params.t_cap)

@@ -161,8 +161,7 @@ def sq_exec(
     dist_cur = dist
 
     for _ in range(params.max_iters):
-        if __debug__ and params.debug_checks:
-            assert x_cur.subset_of(y_cur) == x.subset_of(y)
+        assert x_cur.subset_of(y_cur) == x.subset_of(y)
 
         if x_cur.popcount() > w_cur:
             tr.append(status_message(Player.ALICE, OUT0, "size-over-budget"))

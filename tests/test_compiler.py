@@ -7,7 +7,9 @@ from hypothesis import given, settings
 
 from pmtree.bits import BitVector, Dataset, TernaryPattern
 from pmtree.compiler import (
+    CarolNode,
     Leaf,
+    MerlinExplicit,
     TreeError,
     TreeSizeError,
     deserialize,
@@ -19,7 +21,12 @@ from pmtree.compiler import (
     serialize,
 )
 from pmtree.engine import ParamError, RandomTape, Stream, derive_params
-from pmtree.generators import gen_planted, nonmatching_pm_queries, random_pattern_query
+from pmtree.generators import (
+    distinct_positions,
+    gen_planted,
+    nonmatching_pm_queries,
+    random_pattern_query,
+)
 from pmtree.oracles import brute_force_pm, brute_force_sq
 from pmtree.presets import desk_params
 
@@ -288,13 +295,58 @@ def test_leaf_id_outside_the_dataset_raises_tree_error():
         deserialize(serialize(tree), tree.dataset)
 
 
+def _pm_loop_tree():
+    # The PM forced-loop tree of the pinned digests.
+    ds = _random_dataset(10, 10, seed=11, sparse=True)
+    params = derive_params(10, 6, 0.25, 0.05, t_cap=3, base_factor=1.0)
+    return preprocess(ds, "pm", params, seed=33, node_ceiling=1 << 22)
+
+
+def _nodes(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if hasattr(node, "children"):
+            stack.extend(node.children.values())
+        elif hasattr(node, "child"):
+            stack.append(node.child)
+
+
+def test_loaded_tree_keeps_the_builders_vector_sharing():
+    built = _pm_loop_tree()
+    loaded = deserialize(serialize(built), built.dataset)
+    explicit = [node for node in _nodes(loaded.root) if isinstance(node, MerlinExplicit)]
+    assert explicit
+    for node in explicit:
+        assert len({id(carol.vectors) for carol in node.children.values()}) == 1
+
+    def runs(tree):
+        return len({id(n.vectors) for n in _nodes(tree.root) if isinstance(n, CarolNode)})
+
+    assert runs(loaded) <= runs(built)
+
+
+def test_sq_queries_past_the_enumeration_guard_are_exact():
+    # A 24-bit query on the iterative path makes the small stage's bounded-weight
+    # advice count exceed the enumeration guard; the walk then tests every
+    # stored bucket and the leaf scan keeps the answers exact.
+    d = 40
+    ds = _random_dataset(40, d, seed=1, sparse=True)
+    params = derive_params(d, 24, 0.25, 0.05, t_cap=2, base_factor=1.0)
+    tree = deserialize(serialize(preprocess(ds, "sq", params, seed=1)), ds)
+    tape = RandomTape(2, Stream.PUB)
+    for _ in range(30):
+        y = BitVector.from_ones(d, distinct_positions(tape, d, 24))
+        assert query(tree, y).matches == frozenset(brute_force_sq(ds, y))
+
+
 @functools.cache
 def _fuzz_case(name):
     """The bytes of a valid tree, its dataset and 20 queries within its budget."""
     if name == "pm-loop":
-        ds = _random_dataset(10, 10, seed=11, sparse=True)
-        params = derive_params(10, 6, 0.25, 0.05, t_cap=3, base_factor=1.0)
-        tree = preprocess(ds, "pm", params, seed=33, node_ceiling=1 << 22)
+        tree = _pm_loop_tree()
+        ds = tree.dataset
     else:
         ds = _random_dataset(64, 16, seed=21)
         tree = preprocess(ds, "pm", desk_params(64, 16, 4), seed=5)

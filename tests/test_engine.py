@@ -129,8 +129,6 @@ def test_derive_params_validation():
 def test_t_cap_and_overrides():
     p = derive_params(128, 64, 0.05, 0.01, t_cap=100)
     assert p.t == 100
-    p2 = derive_params(128, 64, 0.05, 0.01, t_override=7)
-    assert p2.t == 7
     p3 = derive_params(128, 64, 0.05, 0.01, h_override=2.5)
     assert p3.h == 2.5
 

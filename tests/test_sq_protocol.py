@@ -152,7 +152,7 @@ def test_monotone_invariant_checked_in_debug_runs():
     d, w = 12, 8
     ds = _sparse_dataset(10, d, seed=12, target=(5, 8))
     lam = EmpiricalDistribution(ds)
-    params = derive_params(d, w, 0.25, 0.05, debug_checks=True, **LOOP_PARAMS)
+    params = derive_params(d, w, 0.25, 0.05, **LOOP_PARAMS)
     tape = RandomTape(13, Stream.PUB)
     for trial in range(150):
         x = ds.points[tape.draw_below(ds.n)]
