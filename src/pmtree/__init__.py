@@ -2,7 +2,6 @@
 
 from .bits import (
     BitVector,
-    CoordDomain,
     Dataset,
     TernaryPattern,
     match_pm,
@@ -22,7 +21,6 @@ from .engine import (
 
 __all__ = [
     "BitVector",
-    "CoordDomain",
     "Dataset",
     "TernaryPattern",
     "match_pm",

@@ -106,7 +106,7 @@ def crit_base_rate(quick: bool = False):
         for x, y, adv in pairs:
             acc = 0
             for _ in range(trials):
-                acc += bp.run_base(bp.PM, x, y, d, d, 0.05, adv, tapes, t_override=t).output
+                acc += bp.run_base(bp.PM, x, y, d, d, target, adv, tapes).output
             dev = abs(acc / trials - target)
             worst = max(worst, dev / tol)
             if dev > tol:

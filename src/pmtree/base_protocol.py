@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .bits import BitVector, CoordDomain, TernaryPattern
+from .bits import BitVector, TernaryPattern
 from .engine import (
     OUT0,
     Message,
@@ -148,7 +148,7 @@ def special_advice(
     if mode == PM:
         if not isinstance(y, TernaryPattern) or y.dim != x.dim:
             raise ValueError("PM mode needs a TernaryPattern of matching dimension")
-        fill = x.restrict(CoordDomain(y.dim, y.star_positions()))
+        fill = x.restrict(y.star_vector())
         return BaseAdvice(PM, fill.value, advice_width(PM, y, z))
     if mode == SQ:
         if not isinstance(y, BitVector) or y.dim != x.dim:
@@ -197,9 +197,7 @@ def draw_parity_vectors(pri: RandomTape, d: int, t: int) -> tuple[BitVector, ...
     return tuple(pri.draw_vector(d) for _ in range(t))
 
 
-def base_t(delta: float, t_override: int | None = None) -> int:
-    if t_override is not None:
-        return t_override
+def base_t(delta: float) -> int:
     return max(1, math.ceil(math.log2(1.0 / delta)))
 
 
@@ -214,7 +212,6 @@ def base_exec(
     tapes: Tapes,
     tr: Transcript,
     *,
-    t_override: int | None = None,
     swap_roles: bool = False,
 ) -> int:
     """Append the parity-check subprotocol to tr and return its output bit.
@@ -235,7 +232,7 @@ def base_exec(
 
     ybar = reconstruct(mode, y, advice, z)
 
-    t = base_t(delta, t_override)
+    t = base_t(delta)
     tr.require_advice_committed()
     rs = draw_parity_vectors(tapes.pri, d, t)
     tr.append(batch_message(Player.CAROL_PRI, rs, d, "parity-vecs"))
@@ -258,13 +255,9 @@ def run_base(
     tapes: Tapes,
     transcript: Transcript | None = None,
     *,
-    t_override: int | None = None,
     swap_roles: bool = False,
 ) -> Transcript:
     """Standalone parity-check run; returns the finalized transcript."""
     tr = transcript if transcript is not None else Transcript()
-    out = base_exec(
-        mode, x, y, z, w, delta, advice, tapes, tr,
-        t_override=t_override, swap_roles=swap_roles,
-    )
+    out = base_exec(mode, x, y, z, w, delta, advice, tapes, tr, swap_roles=swap_roles)
     return tr.finalize(out)

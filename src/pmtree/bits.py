@@ -1,7 +1,10 @@
-"""Fixed-dimension bit vectors, ternary wildcard patterns, and coordinate domains.
+"""Fixed-dimension bit vectors and ternary wildcard patterns.
 
 Coordinate i of a vector is bit i of the packed integer, and character i of the
-text form. All values are immutable and safe to share across threads.
+text form. A subset of the coordinates is a mask: a BitVector of the same
+dimension with those coordinates set. restrict(keep) keeps the coordinates set
+in keep, in ascending order; expand(keep) is its inverse. All values are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -94,12 +97,19 @@ class BitVector:
         self._check_dim(other)
         return self.value & other.value != 0
 
-    def restrict(self, dom: "CoordDomain") -> "BitVector":
-        if dom.parent_dim != self.dim:
-            raise ValueError(f"domain over {dom.parent_dim} coords, vector has {self.dim}")
-        if dom.size == self.dim:
+    def restrict(self, keep: "BitVector") -> "BitVector":
+        """The coordinates set in keep, in ascending order."""
+        self._check_dim(keep)
+        if keep.value == _mask(self.dim):
             return self
-        return BitVector(dom.size, _extract(self.value, dom.active))
+        return BitVector(keep.popcount(), _extract(self.value, keep.value))
+
+    def expand(self, keep: "BitVector") -> "BitVector":
+        """The inverse of restrict: coordinate j goes to the j-th coordinate set
+        in keep, and every coordinate outside keep is 0."""
+        if self.dim != keep.popcount():
+            raise ValueError(f"{self.dim} coordinates cannot fill a mask of {keep.popcount()}")
+        return BitVector(keep.dim, _deposit(self.value, keep.value))
 
     def __eq__(self, other) -> bool:
         return (
@@ -115,10 +125,27 @@ class BitVector:
         return f"BitVector({self.to01()!r})"
 
 
-def _extract(value: int, positions: tuple[int, ...]) -> int:
+def _extract(value: int, mask: int) -> int:
+    """The bits of value at the set bits of mask, packed from bit 0 up."""
+    out = j = 0
+    while mask:
+        low = mask & -mask
+        if value & low:
+            out |= 1 << j
+        j += 1
+        mask ^= low
+    return out
+
+
+def _deposit(value: int, mask: int) -> int:
+    """The low bits of value placed, in order, at the set bits of mask."""
     out = 0
-    for j, i in enumerate(positions):
-        out |= ((value >> i) & 1) << j
+    while mask:
+        low = mask & -mask
+        if value & 1:
+            out |= low
+        value >>= 1
+        mask ^= low
     return out
 
 
@@ -189,18 +216,14 @@ class TernaryPattern:
 
     def fill_stars(self, fill: BitVector) -> BitVector:
         """Replace stars with the given bits (fill coordinate j goes to the j-th star)."""
-        if fill.dim != self.star_count():
-            raise ValueError("fill width must equal star count")
-        value = self.one_bits
-        for j, i in enumerate(self.star_positions()):
-            value |= ((fill.value >> j) & 1) << i
-        return BitVector(self.dim, value)
+        return BitVector(self.dim, self.one_bits | fill.expand(self.star_vector()).value)
 
-    def restrict(self, dom: "CoordDomain") -> "TernaryPattern":
-        if dom.parent_dim != self.dim:
-            raise ValueError(f"domain over {dom.parent_dim} coords, pattern has {self.dim}")
+    def restrict(self, keep: BitVector) -> "TernaryPattern":
+        """The coordinates set in keep, in ascending order."""
+        if keep.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {keep.dim} != {self.dim}")
         return TernaryPattern(
-            dom.size, _extract(self.stars, dom.active), _extract(self.one_bits, dom.active)
+            keep.popcount(), _extract(self.stars, keep.value), _extract(self.one_bits, keep.value)
         )
 
     def __eq__(self, other) -> bool:
@@ -216,65 +239,6 @@ class TernaryPattern:
 
     def __repr__(self) -> str:
         return f"TernaryPattern({self.to_text()!r})"
-
-
-class CoordDomain:
-    """An ordered subset of the coordinates [0, parent_dim), ascending."""
-
-    __slots__ = ("parent_dim", "active")
-
-    def __init__(self, parent_dim: int, active: tuple[int, ...]):
-        last = -1
-        for i in active:
-            if not 0 <= i < parent_dim:
-                raise ValueError(f"coordinate {i} out of range [0, {parent_dim})")
-            if i <= last:
-                raise ValueError("active coordinates must be strictly ascending")
-            last = i
-        self.parent_dim = parent_dim
-        self.active = tuple(active)
-
-    @classmethod
-    def full(cls, dim: int) -> "CoordDomain":
-        return cls(dim, tuple(range(dim)))
-
-    @classmethod
-    def from_mask(cls, parent_dim: int, mask: int) -> "CoordDomain":
-        return cls(parent_dim, tuple(BitVector(parent_dim, mask).ones()))
-
-    @property
-    def size(self) -> int:
-        return len(self.active)
-
-    def contains(self, other: "CoordDomain") -> bool:
-        return other.parent_dim == self.parent_dim and set(other.active) <= set(self.active)
-
-    def select(self, keep: BitVector) -> "CoordDomain":
-        """Sub-domain in parent coordinates keeping relative positions set in keep."""
-        if keep.dim != self.size:
-            raise ValueError("keep mask must have the domain's size")
-        return CoordDomain(
-            self.parent_dim, tuple(self.active[j] for j in range(self.size) if keep.get(j))
-        )
-
-    def compose(self, inner: "CoordDomain") -> "CoordDomain":
-        """Parent-coordinate domain equivalent to restricting by self, then by inner."""
-        if inner.parent_dim != self.size:
-            raise ValueError("inner domain must be over this domain's size")
-        return CoordDomain(self.parent_dim, tuple(self.active[j] for j in inner.active))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CoordDomain)
-            and self.parent_dim == other.parent_dim
-            and self.active == other.active
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.parent_dim, self.active))
-
-    def __repr__(self) -> str:
-        return f"CoordDomain({self.parent_dim}, {self.active})"
 
 
 @dataclass(frozen=True)

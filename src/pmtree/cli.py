@@ -31,10 +31,8 @@ class CliError(Exception):
 # overrides apply to the "derive" preset only. null stands for the default.
 _NUMBER = (int, float)
 _DESK_KEYS = {"preset": (str,), "w": _NUMBER, "eps": _NUMBER, "delta": _NUMBER, "t_cap": (int,)}
-_DERIVE_KEYS = {
-    **_DESK_KEYS, "base_factor": _NUMBER, "h_override": _NUMBER, "max_iters_override": (int,),
-}
-_NULLABLE = {"w", "delta", "t_cap", "h_override", "max_iters_override"}
+_DERIVE_KEYS = {**_DESK_KEYS, "base_factor": _NUMBER, "h_override": _NUMBER}
+_NULLABLE = {"w", "delta", "t_cap", "h_override"}
 
 
 def _read_params_file(path) -> dict:
@@ -182,7 +180,7 @@ def _cmd_sim(args) -> int:
         adv = bp.BaseAdvice(bp.PM, fill, 2)
         tapes = Tapes.from_seed(args.seed + 1)
         est = accept_rate(
-            lambda rng: bp.run_base(bp.PM, x, y, d, d, 0.05, adv, tapes, t_override=t).output,
+            lambda rng: bp.run_base(bp.PM, x, y, d, d, 2.0**-t, adv, tapes).output,
             args.trials,
             args.seed,
         )

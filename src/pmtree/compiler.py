@@ -30,7 +30,7 @@ import struct
 from dataclasses import dataclass, field, fields, replace
 
 from . import base_protocol as bp
-from .bits import BitVector, CoordDomain, Dataset, TernaryPattern, match_pm, subset_of
+from .bits import BitVector, Dataset, TernaryPattern, match_pm, subset_of
 from .dist import EmpiricalDistribution
 from .engine import (
     BIG,
@@ -377,9 +377,8 @@ def _build_sq_iter(
                         continue
                     shed = xi.popcount() - overflow.popcount()
                     keep = xi.complement()
-                    dom = CoordDomain.full(keep.dim).select(keep)
-                    sub_ctx = big_ctx.fork(big_ctx.dist.restrict_relative(keep), levels=4)
-                    shrunk = [(i, x.restrict(dom)) for i, x in survivors]
+                    sub_ctx = big_ctx.fork(big_ctx.dist.restrict_dist(keep), levels=4)
+                    shrunk = [(i, x.restrict(keep)) for i, x in survivors]
                     sub = _build_sq_iter(sub_ctx, params, shrunk, w_cur - shed, iteration + 1, cont)
                     yield overflow_key(istar, params.t, xi, rank, h), sub
 
@@ -442,10 +441,9 @@ def _build_halving(
         if keep.popcount() == 0:
             sub = cont(none_ctx.fork(levels=3), list(cohort))
         else:
-            dom = CoordDomain.full(dim).select(keep)
-            sub_ctx = none_ctx.fork(none_ctx.dist.restrict_relative(keep), levels=3)
-            shrunk = [(i, x.restrict(dom)) for i, x in cohort]
-            sub = recurse(sub_ctx, halved_params(params, dom.size, w_cur), shrunk, cont)
+            sub_ctx = none_ctx.fork(none_ctx.dist.restrict_dist(keep), levels=3)
+            shrunk = [(i, x.restrict(keep)) for i, x in cohort]
+            sub = recurse(sub_ctx, halved_params(params, keep.popcount(), w_cur), shrunk, cont)
         if sub is not None:
             j_children[(jw, j)] = sub
     jnode = _emit(none_ctx, none_ctx.depth + 2, BobNode, prefix + "-half-index", j_children)
@@ -621,12 +619,10 @@ def _recon_reachability(mode: str, y_cur, z: float, rs):
         return lambda target: _reduces_to_zero(basis, target ^ offset)
     zmax = math.floor(z)
     m = y_cur.popcount()
-    extra: set[int] = set()
-    if (1 << bp.advice_width(bp.SQ, y_cur, z)) > bp.subset_count(m, zmax):
-        extra.add(bp.parity_vector(bp.decode_failed_sentinel(y_cur.dim), rs))
     if zmax >= m:
+        # The advice indexes all 2^m subsets, so no payload decodes to the sentinel.
         basis = _span_basis(_parity_columns(rs, tuple(y_cur.ones())))
-        return lambda target: _reduces_to_zero(basis, target) or target in extra
+        return lambda target: _reduces_to_zero(basis, target)
     total = bp.subset_count(m, zmax)
     if total > _SUBSET_ENUM_LIMIT:
         # A superset of the reachable buckets; the leaf predicate keeps answers exact.
@@ -634,7 +630,9 @@ def _recon_reachability(mode: str, y_cur, z: float, rs):
     parities = {
         bp.parity_vector(bp.unrank_subset(y_cur, rank, zmax), rs)
         for rank in range(total)
-    } | extra
+    }
+    if (1 << bp.advice_width(bp.SQ, y_cur, z)) > total:
+        parities.add(bp.parity_vector(bp.decode_failed_sentinel(y_cur.dim), rs))
     return lambda target: target in parities
 
 
@@ -711,10 +709,9 @@ def _walk_sq_iter(
         overflow = xi.diff(y_cur)
         rank = bp.rank_subset(xi, overflow, math.floor(h))
         keep = xi.complement()
-        dom = CoordDomain.full(keep.dim).select(keep)
         w_next = w_cur - (xi.popcount() - overflow.popcount())
         return overflow_key(istar, params.t, xi, rank, h), lambda onward: _walk_sq_iter(
-            walk, onward, params, y_cur.restrict(dom), w_next, iteration + 1, cont
+            walk, onward, params, y_cur.restrict(keep), w_next, iteration + 1, cont
         )
 
     _walk_near_step(
@@ -782,8 +779,7 @@ def _walk_halving(
     if keep.popcount() == 0:
         cont(walk, child)
         return
-    dom = CoordDomain.full(keep.dim).select(keep)
-    recurse(walk, child, halved_params(params, dom.size, w_cur), y.restrict(dom), cont)
+    recurse(walk, child, halved_params(params, keep.popcount(), w_cur), y.restrict(keep), cont)
 
 
 def _walk_pm(walk: _Walk, node, params: ProtocolParams, y: TernaryPattern, cont) -> None:
@@ -966,10 +962,16 @@ def _write_node(buf, node) -> None:
         raise TreeError(f"unserializable node {type(node).__name__}")
 
 
+# The deepest node nesting a tree file may have. Built trees reach 19 levels
+# (pm-iter); reading and walking 128 stays well inside the recursion limit.
+MAX_TREE_DEPTH = 128
+
+
 class _Reader:
-    """A cursor over the bytes of a tree file. Leaf ids must be below n. Runs
-    of vectors with the same dim and bytes come back as one shared tuple, as
-    the builder shares one rs across the advice values of a swapped stage."""
+    """A cursor over the bytes of a tree file. Leaf ids must be below n, and
+    nodes nest at most MAX_TREE_DEPTH deep. Runs of vectors with the same dim
+    and bytes come back as one shared tuple, as the builder shares one rs
+    across the advice values of a swapped stage."""
 
     def __init__(self, data: bytes, n: int):
         self.data = bytes(data)
@@ -998,15 +1000,17 @@ class _Reader:
             raise TreeError(f"bad site or mode code {code}")
         return name
 
-    def children(self, count: int) -> dict:
+    def children(self, count: int, depth: int) -> dict:
         out = {}
         for _ in range(count):
             (nbits,) = self.unpack(_COUNT, "message width")
             value = int.from_bytes(self.take((nbits + 7) // 8, "message value"), "little")
-            out[(nbits, value)] = self.node()
+            out[(nbits, value)] = self.node(depth + 1)
         return out
 
-    def node(self):
+    def node(self, depth: int = 0):
+        if depth > MAX_TREE_DEPTH:
+            raise TreeError(f"tree nodes nest deeper than {MAX_TREE_DEPTH} levels")
         if self.pos == self.size:
             raise TreeError(_TRUNCATED.format("node kind"))
         kind = self.data[self.pos]
@@ -1032,16 +1036,18 @@ class _Reader:
                     BitVector(dim, int.from_bytes(raw[k : k + nbytes], "little"))
                     for k in range(0, len(raw), nbytes)
                 )
-            return CarolNode(self.name(_SITE_NAME, code), dim, vectors, private == 1, self.node())
+            return CarolNode(
+                self.name(_SITE_NAME, code), dim, vectors, private == 1, self.node(depth + 1)
+            )
         if kind == _NODE_MERLIN_DEFERRED:
             _, code, z = head
-            return MerlinDeferred(self.name(_MODE_NAME, code), z, self.node())
+            return MerlinDeferred(self.name(_MODE_NAME, code), z, self.node(depth + 1))
         if kind == _NODE_MERLIN_EXPLICIT:
             _, code, z, cap, count = head
-            return MerlinExplicit(self.name(_MODE_NAME, code), z, cap, self.children(count))
+            return MerlinExplicit(self.name(_MODE_NAME, code), z, cap, self.children(count, depth))
         _, code, count = head
         cls = AliceNode if kind == _NODE_ALICE else BobNode
-        return cls(self.name(_SITE_NAME, code), self.children(count))
+        return cls(self.name(_SITE_NAME, code), self.children(count, depth))
 
 
 def deserialize(data: bytes, dataset: Dataset) -> ProtocolTree:

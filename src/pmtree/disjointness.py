@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from math import comb
 
-from .bits import BitVector, CoordDomain, Dataset
+from .bits import BitVector, Dataset
 from .dist import EMPTY_SUPPORT, EmpiricalDistribution
 from .engine import RandomTape, Stream, index_width
 from .generators import distinct_positions
@@ -104,10 +104,9 @@ def run_std(
             return StdRunResult(0, a_bits, b_bits, rnd + 1)
         b_bits += 1 + index_width(t)
         keep = batch[istar].complement()
-        dom = CoordDomain.full(keep.dim).select(keep)
-        x_cur = x_cur.restrict(dom)
-        ybar_cur = ybar_cur.restrict(dom)
-        dist_cur = dist_cur.restrict_relative(keep)
+        x_cur = x_cur.restrict(keep)
+        ybar_cur = ybar_cur.restrict(keep)
+        dist_cur = dist_cur.restrict_dist(keep)
 
     raise AssertionError("residual domain must be exhausted within ell rounds")
 

@@ -1,14 +1,16 @@
 """Uniform-over-dataset distributions with the two primitives the protocols pay for:
 size-conditioned sampling and restriction to a coordinate subset.
 
-Restriction is projection: support membership never changes, only the domain.
-An optional XOR shift is applied after projection; it is how the partial-match
-protocol hands the re-centered point distribution to its subset-query subroutine.
+Restriction is projection: every point of the dataset stays in the support, and
+only the domain shrinks. A coordinate subset is a mask (see bits), and the
+domain is kept as a mask over the dataset dimension. An optional XOR shift is
+applied after projection; it is how the partial-match protocol hands the
+re-centered point distribution to its subset-query subroutine.
 """
 
 from __future__ import annotations
 
-from .bits import BitVector, CoordDomain, Dataset
+from .bits import BitVector, Dataset
 from .engine import RandomTape
 
 
@@ -30,29 +32,19 @@ EMPTY_SUPPORT = EmptySupport()
 
 
 class EmpiricalDistribution:
-    __slots__ = (
-        "base",
-        "domain",
-        "support",
-        "shift",
-        "_buckets",
-        "_proj_cache",
-        "_qual_cache",
-    )
+    """Uniform over the dataset's points, each restricted to the coordinates set
+    in domain (a mask over the dataset dimension) and then XORed with shift."""
+
+    __slots__ = ("base", "domain", "shift", "_buckets", "_proj_cache", "_qual_cache")
 
     def __init__(
-        self,
-        base: Dataset,
-        domain: CoordDomain | None = None,
-        support: tuple[int, ...] | None = None,
-        shift: BitVector | None = None,
+        self, base: Dataset, domain: BitVector | None = None, shift: BitVector | None = None
     ):
         self.base = base
-        self.domain = domain if domain is not None else CoordDomain.full(base.dim)
-        if self.domain.parent_dim != base.dim:
+        self.domain = domain if domain is not None else BitVector(base.dim).complement()
+        if self.domain.dim != base.dim:
             raise ValueError("domain must be over the dataset dimension")
-        self.support = support if support is not None else tuple(range(base.n))
-        if shift is not None and shift.dim != self.domain.size:
+        if shift is not None and shift.dim != self.dim:
             raise ValueError("shift must have the domain's size")
         self.shift = shift
         self._buckets = None
@@ -61,23 +53,22 @@ class EmpiricalDistribution:
 
     @property
     def dim(self) -> int:
-        return self.domain.size
+        return self.domain.popcount()
 
     def projected(self, i: int) -> BitVector:
-        """Support point i projected to the domain (and shifted, if set)."""
+        """Point i restricted to the domain (and shifted, if set)."""
         v = self.base.points[i].restrict(self.domain)
         return v if self.shift is None else v ^ self.shift
 
     def _projections(self) -> list[BitVector]:
         if self._proj_cache is None:
-            self._proj_cache = [self.projected(i) for i in self.support]
+            self._proj_cache = [self.projected(i) for i in range(self.base.n)]
         return self._proj_cache
 
     def sample(self, rng: RandomTape) -> BitVector:
-        if not self.support:
-            raise ValueError("cannot sample from an empty support")
-        pos = rng.draw_below(len(self.support))
-        return self._projections()[pos]
+        if not self.base.points:
+            raise ValueError("cannot sample from an empty dataset")
+        return self._projections()[rng.draw_below(self.base.n)]
 
     def _popcount_buckets(self) -> dict[int, list[int]]:
         if self._buckets is None:
@@ -88,7 +79,7 @@ class EmpiricalDistribution:
         return self._buckets
 
     def sample_size_conditioned(self, lo: float, hi: float, rng: RandomTape):
-        """Uniform over support points whose projected popcount s has lo < s <= hi.
+        """Uniform over points whose projected popcount s has lo < s <= hi.
 
         Returns EMPTY_SUPPORT (no tape tick) when nothing qualifies.
         """
@@ -104,24 +95,14 @@ class EmpiricalDistribution:
         pos = qualifying[rng.draw_below(len(qualifying))]
         return self._projections()[pos]
 
-    def restrict_dist(self, sub: CoordDomain) -> "EmpiricalDistribution":
-        """Project every support point to sub (parent coordinates, inside the domain)."""
-        if not self.domain.contains(sub):
-            raise ValueError("sub must be contained in the current domain")
-        new_shift = None
-        if self.shift is not None:
-            rel_of = {c: j for j, c in enumerate(self.domain.active)}
-            rel_positions = tuple(rel_of[c] for c in sub.active)
-            new_shift = self.shift.restrict(CoordDomain(self.domain.size, rel_positions))
-        return EmpiricalDistribution(self.base, sub, self.support, new_shift)
-
-    def restrict_relative(self, keep: BitVector) -> "EmpiricalDistribution":
-        """Restrict to the relative positions set in keep (a mask over the current size)."""
-        return self.restrict_dist(self.domain.select(keep))
+    def restrict_dist(self, keep: BitVector) -> "EmpiricalDistribution":
+        """Keep the coordinates set in keep, a mask over the current coordinates."""
+        shift = None if self.shift is None else self.shift.restrict(keep)
+        return EmpiricalDistribution(self.base, keep.expand(self.domain), shift)
 
     def xor_shift(self, shift: BitVector) -> "EmpiricalDistribution":
         """Distribution of (sample XOR shift)."""
         if shift.dim != self.dim:
             raise ValueError("shift must have the domain's size")
         combined = shift if self.shift is None else shift ^ self.shift
-        return EmpiricalDistribution(self.base, self.domain, self.support, combined)
+        return EmpiricalDistribution(self.base, self.domain, combined)

@@ -221,11 +221,11 @@ class ParamError(ValueError):
 class ProtocolParams:
     """Shared parameter bundle for the subset-query and partial-match protocols.
 
-    Derived quantities follow the protocol headers with base-2 logs; h and
-    max_iters have override hooks so experiments can pin them directly. t_cap
-    bounds the per-round sample count at desk scale; base_factor scales the
-    threshold that routes small sparsity budgets to the base-case protocol (100
-    is the genuine value, tests shrink it to force the iterative path).
+    Derived quantities follow the protocol headers with base-2 logs; h has an
+    override hook so experiments can pin it directly. t_cap bounds the
+    per-round sample count at desk scale; base_factor scales the threshold that
+    routes small sparsity budgets to the base-case protocol (100 is the genuine
+    value, tests shrink it to force the iterative path).
     """
 
     d: int
@@ -235,7 +235,6 @@ class ProtocolParams:
     t_cap: int | None = None
     base_factor: float = 100.0
     h_override: float | None = None
-    max_iters_override: int | None = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -274,8 +273,6 @@ class ProtocolParams:
 
     @property
     def max_iters(self) -> int:
-        if self.max_iters_override is not None:
-            return self.max_iters_override
         return max(1, math.ceil(2.0 * self.ell))
 
     def is_base_case(self) -> bool:

@@ -25,7 +25,7 @@ from .base_protocol import (
     sq_advice_width,
     unrank_subset,
 )
-from .bits import BitVector, CoordDomain
+from .bits import BitVector
 from .dist import EMPTY_SUPPORT, EmpiricalDistribution
 from .engine import (
     BIG,
@@ -192,10 +192,9 @@ def sq_exec(
             if params.base_factor >= 100.0 and params.t_cap is None and shed < 0.9 * small - 1e-9:
                 raise ProtocolError("a near-subset sample shed fewer coordinates than its bound")
             keep = xi.complement()
-            dom = CoordDomain.full(keep.dim).select(keep)
-            x_cur = x_cur.restrict(dom)
-            y_cur = y_cur.restrict(dom)
-            dist_cur = dist_cur.restrict_relative(keep)
+            x_cur = x_cur.restrict(keep)
+            y_cur = y_cur.restrict(keep)
+            dist_cur = dist_cur.restrict_dist(keep)
             w_cur -= shed
             continue
 
@@ -233,9 +232,8 @@ def halving_exec(
     keep = halves[jstar]
     if keep.popcount() == 0:
         return 1
-    dom = CoordDomain.full(d).select(keep)
-    sub = halved_params(params, dom.size, w_cur)
-    return recurse(sub, dist.restrict_relative(keep), x.restrict(dom), y.restrict(dom))
+    sub = halved_params(params, keep.popcount(), w_cur)
+    return recurse(sub, dist.restrict_dist(keep), x.restrict(keep), y.restrict(keep))
 
 
 def pick_half(halves, mask: int, w_cur: float) -> int | None:

@@ -156,7 +156,7 @@ def test_wrong_reconstruction_rate_quarter_at_t2():
     tapes = Tapes.from_seed(8)
     trials = 40_000
     acc = sum(
-        run_base(PM, x, y, d, d, 0.05, adv, tapes, t_override=2).output
+        run_base(PM, x, y, d, d, 2.0**-2, adv, tapes).output
         for _ in range(trials)
     )
     rate = acc / trials

@@ -1,10 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 import hypothesis.strategies as st
 
 from pmtree.bits import (
     BitVector,
-    CoordDomain,
     Dataset,
     TernaryPattern,
     match_pm,
@@ -40,31 +39,42 @@ def test_dimension_mismatch_raises():
 
 def test_restrict_examples():
     v = BitVector.from01("1011")
-    assert v.restrict(CoordDomain(4, (0, 2, 3))).to01() == "111"
-    assert v.restrict(CoordDomain.full(4)) == v
+    full = BitVector.from01("1111")
+    assert v.restrict(BitVector.from01("1011")).to01() == "111"
+    assert v.restrict(BitVector.from01("0101")).to01() == "01"
+    assert v.restrict(full) == v
+    assert v.restrict(BitVector(4)) == BitVector(0)
     p = TernaryPattern.parse("1*0*")
-    assert p.restrict(CoordDomain.full(4)) == p
-    assert p.restrict(CoordDomain(4, (1, 3))).to_text() == "**"
+    assert p.restrict(full) == p
+    assert p.restrict(BitVector.from01("0101")).to_text() == "**"
+    assert p.restrict(BitVector.from01("1110")).to_text() == "1*0"
 
 
 @given(st.integers(0, 1023), st.integers(0, 1023))
 def test_popcount_splits_across_restriction(v_bits, mask):
     d = 10
     v = BitVector(d, v_bits)
-    dom = CoordDomain.from_mask(d, mask)
-    co = CoordDomain.from_mask(d, ~mask & ((1 << d) - 1))
-    assert v.restrict(dom).popcount() + v.restrict(co).popcount() == v.popcount()
+    keep = BitVector(d, mask)
+    assert v.restrict(keep).popcount() + v.restrict(keep.complement()).popcount() == v.popcount()
 
 
 @given(st.integers(0, 255), st.integers(0, 255), st.data())
 def test_restrict_is_functorial(v_bits, mask, data):
     d = 8
     v = BitVector(d, v_bits)
-    outer = CoordDomain.from_mask(d, mask)
-    inner_mask = data.draw(st.integers(0, (1 << outer.size) - 1))
-    inner = CoordDomain.from_mask(outer.size, inner_mask)
-    combined = outer.compose(inner)
+    outer = BitVector(d, mask)
+    inner = BitVector(outer.popcount(), data.draw(st.integers(0, (1 << outer.popcount()) - 1)))
+    combined = inner.expand(outer)
+    assert combined.subset_of(outer)
     assert v.restrict(outer).restrict(inner) == v.restrict(combined)
+
+
+@given(st.integers(0, 255), st.integers(0, 255))
+def test_expand_inverts_restrict(v_bits, mask):
+    d = 8
+    v, keep = BitVector(d, v_bits), BitVector(d, mask)
+    assert v.restrict(keep).expand(keep) == v & keep
+    assert v.restrict(keep).expand(keep).restrict(keep) == v.restrict(keep)
 
 
 def test_star_free_pattern_matches_iff_equal():
@@ -101,6 +111,9 @@ def test_fill_stars():
     y = TernaryPattern.parse("1*0*")
     filled = y.fill_stars(BitVector.from01("10"))
     assert filled.to01() == "1100"
+    assert y.fill_stars(BitVector.from01("01")).to01() == "1001"
+    with pytest.raises(ValueError):
+        y.fill_stars(BitVector.from01("1"))
 
 
 def test_dataset_io(tmp_path):
@@ -113,9 +126,13 @@ def test_dataset_io(tmp_path):
 
 
 def test_domain_validation():
+    # A keep mask must have the restricted value's dimension, and an expanded
+    # value must have one coordinate per set bit of the mask.
     with pytest.raises(ValueError):
-        CoordDomain(4, (2, 1))
+        BitVector.from01("1011").restrict(BitVector.from01("101"))
     with pytest.raises(ValueError):
-        CoordDomain(4, (0, 4))
-    dom = CoordDomain(6, (1, 3, 5))
-    assert dom.select(BitVector.from01("101")).active == (1, 5)
+        TernaryPattern.parse("1*0*").restrict(BitVector.from01("11111"))
+    with pytest.raises(ValueError):
+        BitVector.from01("11").expand(BitVector.from01("101010"))
+    keep = BitVector.from01("010101")
+    assert BitVector.from01("101").expand(keep).to01() == "010001"

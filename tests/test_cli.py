@@ -6,7 +6,7 @@ import pytest
 from pmtree import compiler
 from pmtree.cli import main
 from pmtree.bits import Dataset
-from pmtree.compiler import Leaf, load_tree, save_tree
+from pmtree.compiler import Leaf, MerlinDeferred, ProtocolTree, load_tree, save_tree, serialize
 
 
 def test_gen_build_query_round_trip(tmp_path, capsys, monkeypatch):
@@ -85,6 +85,13 @@ def test_input_errors_exit_1_without_traceback(tmp_path, capsys):
     assert main(["query", "--tree", str(tree), "--dataset", dataset,
                  "--queries", inst + ".queries"]) == 1
     assert "not a point" in capsys.readouterr().err
+
+    # A valid header over 2 000 nested MerlinDeferred nodes (10 bytes each) and a leaf.
+    blob = serialize(ProtocolTree(MerlinDeferred("pm", 4.0, Leaf(())), loaded.meta, ds))
+    tree.write_bytes(blob[:-15] + blob[-15:-5] * 2000 + blob[-5:])
+    assert main(["query", "--tree", str(tree), "--dataset", dataset,
+                 "--queries", inst + ".queries"]) == 1
+    assert "nest deeper" in capsys.readouterr().err
 
 
 def test_verify_one_criterion():

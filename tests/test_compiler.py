@@ -7,9 +7,12 @@ from hypothesis import given, settings
 
 from pmtree.bits import BitVector, Dataset, TernaryPattern
 from pmtree.compiler import (
+    MAX_TREE_DEPTH,
     CarolNode,
     Leaf,
+    MerlinDeferred,
     MerlinExplicit,
+    ProtocolTree,
     TreeError,
     TreeSizeError,
     deserialize,
@@ -24,7 +27,6 @@ from pmtree.engine import ParamError, RandomTape, Stream, derive_params
 from pmtree.generators import (
     distinct_positions,
     gen_planted,
-    nonmatching_pm_queries,
     random_pattern_query,
 )
 from pmtree.oracles import brute_force_pm, brute_force_sq
@@ -293,6 +295,22 @@ def test_leaf_id_outside_the_dataset_raises_tree_error():
     leaf.candidates = leaf.candidates[:-1] + (tree.dataset.n,)
     with pytest.raises(TreeError, match="not a point"):
         deserialize(serialize(tree), tree.dataset)
+
+
+def _nested_blob(tree, levels):
+    """tree's header over a root of `levels` nested MerlinDeferred nodes and an empty leaf."""
+    one = ProtocolTree(MerlinDeferred("pm", 4.0, Leaf(())), tree.meta, tree.dataset)
+    blob = serialize(one)
+    return blob[:-15] + blob[-15:-5] * levels + blob[-5:]
+
+
+def test_nesting_past_the_depth_bound_raises_tree_error():
+    tree = _all_kinds_tree()
+    loaded = deserialize(_nested_blob(tree, MAX_TREE_DEPTH), tree.dataset)
+    assert serialize(loaded) == _nested_blob(tree, MAX_TREE_DEPTH)
+    for levels in (MAX_TREE_DEPTH + 1, 2000):
+        with pytest.raises(TreeError, match="nest deeper"):
+            deserialize(_nested_blob(tree, levels), tree.dataset)
 
 
 def _pm_loop_tree():

@@ -1,12 +1,10 @@
 import math
-from itertools import combinations
 
 import pytest
 
 from pmtree.bits import BitVector, Dataset
 from pmtree.dist import EmpiricalDistribution
 from pmtree.disjointness import (
-    FixResult,
     StdParams,
     disjoint_probability_check,
     exact_disjoint_probability,

@@ -1,10 +1,8 @@
 import math
-from itertools import product
-
 import pytest
 from scipy.stats import chisquare
 
-from pmtree.bits import BitVector, CoordDomain, Dataset
+from pmtree.bits import BitVector, Dataset
 from pmtree.dist import EMPTY_SUPPORT, EmpiricalDistribution
 from pmtree.engine import RandomTape, Stream
 
@@ -30,7 +28,7 @@ def test_two_point_support_is_balanced():
 
 def test_projection_then_sampling_balanced():
     dist = EmpiricalDistribution(_dataset("01", "10"))
-    sub = dist.restrict_dist(CoordDomain(2, (1,)))
+    sub = dist.restrict_dist(BitVector.from01("01"))
     tape = RandomTape(4, Stream.PUB)
     n = 10_000
     ones = sum(sub.sample(tape).value for _ in range(n))
@@ -61,7 +59,7 @@ def test_size_conditioned_respects_window():
 
 def test_restrict_full_domain_is_identity():
     dist = EmpiricalDistribution(_dataset("101", "011"))
-    full = dist.restrict_dist(CoordDomain.full(3))
+    full = dist.restrict_dist(BitVector.from01("111"))
     t1, t2 = RandomTape(7, Stream.PUB), RandomTape(7, Stream.PUB)
     for _ in range(20):
         assert dist.sample(t1) == full.sample(t2)
@@ -69,7 +67,7 @@ def test_restrict_full_domain_is_identity():
 
 def test_restrict_to_empty_domain():
     dist = EmpiricalDistribution(_dataset("101", "011"))
-    empty = dist.restrict_dist(CoordDomain(3, ()))
+    empty = dist.restrict_dist(BitVector(3))
     tape = RandomTape(8, Stream.PUB)
     assert empty.sample(tape).dim == 0
 
@@ -82,10 +80,10 @@ def test_project_then_sample_equals_sample_then_project():
     rows = [BitVector(d, tape.draw_bits(d)) for _ in range(n)]
     ds = Dataset(d, tuple(rows))
     dist = EmpiricalDistribution(ds)
-    dom = CoordDomain(d, (0, 2, 5))
-    sub = dist.restrict_dist(dom)
-    direct = sorted(sub.projected(i).value for i in sub.support)
-    projected = sorted(p.restrict(dom).value for p in rows)
+    keep = BitVector.from_ones(d, (0, 2, 5))
+    sub = dist.restrict_dist(keep)
+    direct = sorted(sub.projected(i).value for i in range(n))
+    projected = sorted(p.restrict(keep).value for p in rows)
     assert direct == projected
 
     # And a chi-square check on actual draws.
@@ -125,7 +123,7 @@ def test_xor_shift_samples_are_shifted():
 def test_xor_shift_then_restrict():
     dist = EmpiricalDistribution(_dataset("1100", "0011"))
     shifted = dist.xor_shift(BitVector.from01("1010"))
-    sub = shifted.restrict_dist(CoordDomain(4, (1, 2)))
+    sub = shifted.restrict_dist(BitVector.from01("0110"))
     t1 = RandomTape(15, Stream.PUB)
     vals = {sub.sample(t1).to01() for _ in range(30)}
     # points 1100, 0011 shifted by 1010 -> 0110, 1001; restricted to coords (1,2) -> 11, 00
@@ -133,6 +131,18 @@ def test_xor_shift_then_restrict():
 
 
 def test_empty_support_sample_raises():
-    dist = EmpiricalDistribution(_dataset("01"), support=())
+    dist = EmpiricalDistribution(Dataset(2, ()))
     with pytest.raises(ValueError):
         dist.sample(RandomTape(1, Stream.PUB))
+
+
+def test_restrict_dist_twice_equals_once_by_the_composed_mask():
+    dist = EmpiricalDistribution(_dataset("110010", "011101", "101011"))
+    shifted = dist.xor_shift(BitVector.from01("100110"))
+    outer, inner = BitVector.from01("110101"), BitVector.from01("1011")
+    twice = shifted.restrict_dist(outer).restrict_dist(inner)
+    once = shifted.restrict_dist(inner.expand(outer))
+    assert twice.domain == once.domain == BitVector.from01("100101")
+    assert [twice.projected(i) for i in range(3)] == [once.projected(i) for i in range(3)]
+    with pytest.raises(ValueError):
+        dist.restrict_dist(BitVector.from01("111"))

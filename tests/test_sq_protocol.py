@@ -2,11 +2,9 @@ import math
 
 import pytest
 
-from pmtree.base_protocol import BaseAdvice, SQ
 from pmtree.bits import BitVector, Dataset
 from pmtree.dist import EmpiricalDistribution
 from pmtree.engine import ProtocolParams, RandomTape, Stream, Tapes, derive_params
-from pmtree.oracles import brute_force_sq
 from pmtree.sq_protocol import ProtocolError, run_sq, sq_special_advice
 
 
@@ -135,17 +133,18 @@ def test_advice_empty_when_no_parity_stage_runs():
     assert adv == ()
 
 
-def test_iteration_budget_exhaustion_raises():
+def test_iteration_budget_exhaustion_raises(monkeypatch):
     d, w = 12, 8
-    ds = _sparse_dataset(8, d, seed=10, target=(5, 8))
+    ds = _sparse_dataset(8, d, seed=10, target=(7, 8))
     lam = EmpiricalDistribution(ds)
-    params = derive_params(d, w, 0.25, 0.05, t_cap=4, base_factor=1.0,
-                           max_iters_override=0)
+    params = derive_params(d, w, 0.25, 0.05, t_cap=4, base_factor=1.0)
+    # A point in the size window (w / ell, w], so the run needs at least one round.
     x = ds.points[0]
-    y = x
-    if not (x.popcount() > w or x.popcount() <= w / params.ell):
-        with pytest.raises(ProtocolError):
-            run_sq(params, lam, x, y, None, Tapes.from_seed(1))
+    assert w / params.ell < x.popcount() <= w
+    assert run_sq(params, lam, x, x, None, Tapes.from_seed(1)).output == 1
+    monkeypatch.setattr(ProtocolParams, "max_iters", property(lambda self: 0))
+    with pytest.raises(ProtocolError):
+        run_sq(params, lam, x, x, None, Tapes.from_seed(1))
 
 
 def test_monotone_invariant_checked_in_debug_runs():
