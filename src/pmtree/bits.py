@@ -212,7 +212,7 @@ class TernaryPattern:
     def matches(self, x: BitVector) -> bool:
         if x.dim != self.dim:
             raise ValueError(f"dimension mismatch: {x.dim} != {self.dim}")
-        return (x.value ^ self.one_bits) & ~self.stars & _mask(self.dim) == 0
+        return (x.value ^ self.one_bits) & ~self.stars == 0
 
     def fill_stars(self, fill: BitVector) -> BitVector:
         """Replace stars with the given bits (fill coordinate j goes to the j-th star)."""

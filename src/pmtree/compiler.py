@@ -11,8 +11,10 @@ candidate.
 Prover messages whose decoding happens on the query side (star fills, subset
 ranks) are kept as a single deferred edge: the advice value never influences
 the stored structure, only the query's own reconstruction. At query time the
-walker enumerates exactly the advice values whose reconstruction parities hit
-a stored child, via an exact reachability solve over GF(2). Advice decoded on
+walker looks up the reconstruction parities some advice value reaches: a
+GF(2) coset in Gray-code order, or the XOR closure of at most zmax columns when
+the SQ subset cap binds. It tests every stored bucket only when more parities
+may be reachable than are stored. Advice decoded on
 the point side (the swapped wiring) is enumerated explicitly per point, which
 keys those nodes by advice value as usual.
 
@@ -503,7 +505,8 @@ class _Walk:
     def __init__(self, tree: ProtocolTree, y_root):
         self.points = tree.dataset.points
         self.y_root = y_root
-        self.protocol = tree.meta.protocol
+        # Read per query, so a wrapped match_pm or subset_of is the one called.
+        self.test = match_pm if tree.meta.protocol == PM_PROTOCOL else subset_of
         self.leaves_visited = 0
         self.candidates_scanned = 0
         self.candidates_rejected = 0
@@ -511,14 +514,12 @@ class _Walk:
         self.matches: set[int] = set()
 
     def scan(self, leaf: Leaf) -> None:
+        points, y, test = self.points, self.y_root, self.test
+        hits = [i for i in leaf.candidates if test(points[i], y)]
         self.leaves_visited += 1
         self.candidates_scanned += len(leaf.candidates)
-        test = match_pm if self.protocol == PM_PROTOCOL else subset_of
-        for i in leaf.candidates:
-            if test(self.points[i], self.y_root):
-                self.matches.add(i)
-            else:
-                self.candidates_rejected += 1
+        self.candidates_rejected += len(leaf.candidates) - len(hits)
+        self.matches.update(hits)
 
 
 def query(tree: ProtocolTree, y) -> QueryReport:
@@ -570,16 +571,23 @@ def _walk_base(walk: _Walk, node, y_cur, z: float, w: float, mode: str, swapped:
         alice = carol.child
         if not isinstance(alice, AliceNode):
             raise TreeError("expected point parities")
+        t = len(rs)
         width = bp.advice_width(mode, y_cur, z)
-        reachable = _recon_reachability(mode, y_cur, z, rs)
-        for (nbits, a), bob in alice.children.items():
+        values = _reachable_parities(mode, y_cur, z, rs, len(alice.children))
+        if values is None:
+            # More parities may be reachable than are stored: test each stored one.
+            reachable = _recon_reachability(mode, y_cur, z, rs)
+            values = [a for nbits, a in alice.children if nbits == t and reachable(a)]
+        for a in values:
+            bob = alice.children.get((t, a))
+            if bob is None:
+                continue
             if not isinstance(bob, BobNode):
                 raise TreeError("expected reconstruction parities")
-            child = bob.children.get((nbits, a))
-            if child is None or not reachable(a):
-                continue
-            walk.bits_walked += width + 2 * nbits
-            cont(walk, child)
+            child = bob.children.get((t, a))
+            if child is not None:
+                walk.bits_walked += width + 2 * t
+                cont(walk, child)
         return
 
     # Swapped wiring: enumerate stored advice values; the walker's own side is
@@ -611,39 +619,76 @@ def _walk_base(walk: _Walk, node, y_cur, z: float, w: float, mode: str, swapped:
 
 def _recon_reachability(mode: str, y_cur, z: float, rs):
     """Membership test for the parity vectors some advice value reconstructs
-    to: exact by affine span when all payloads are free, or by enumeration when
-    the subset size cap binds; past the enumeration guard, it accepts all."""
-    if mode == bp.PM:
-        offset = bp.parity_vector(y_cur.ones_vector(), rs)
-        basis = _span_basis(_parity_columns(rs, y_cur.star_positions()))
-        return lambda target: _reduces_to_zero(basis, target ^ offset)
+    to: exact by affine span when all payloads are free, or by the subsets'
+    XOR closure when the subset size cap binds; past the guard, it accepts all."""
     zmax = math.floor(z)
-    m = y_cur.popcount()
-    if zmax >= m:
-        # The advice indexes all 2^m subsets, so no payload decodes to the sentinel.
-        basis = _span_basis(_parity_columns(rs, tuple(y_cur.ones())))
-        return lambda target: _reduces_to_zero(basis, target)
-    total = bp.subset_count(m, zmax)
-    if total > _SUBSET_ENUM_LIMIT:
+    if mode == bp.PM or zmax >= y_cur.popcount():
+        offset, basis = _recon_coset(mode, y_cur, rs)
+        if len(basis) == len(rs):
+            return lambda target: True  # the coset is all of GF(2)^t
+        return lambda target: _reduces_to_zero(basis, target ^ offset)
+    parities = _subset_parities(y_cur, zmax, rs, _SUBSET_ENUM_LIMIT)
+    if parities is None:
         # A superset of the reachable buckets; the leaf predicate keeps answers exact.
         return lambda target: True
-    parities = {
-        bp.parity_vector(bp.unrank_subset(y_cur, rank, zmax), rs)
-        for rank in range(total)
-    }
-    if (1 << bp.advice_width(bp.SQ, y_cur, z)) > total:
+    return parities.__contains__
+
+
+def _reachable_parities(mode: str, y_cur, z: float, rs, stored: int):
+    """The parity vectors some advice value reconstructs to, when a bound
+    taken before any solving says there are at most `stored` of them; else None."""
+    zmax = math.floor(z)
+    free = y_cur.star_count() if mode == bp.PM else y_cur.popcount()
+    coset = mode == bp.PM or zmax >= free
+    if min(1 << len(rs), 1 << free if coset else bp.subset_count(free, zmax) + 1) > stored:
+        return None
+    if coset:
+        return _coset(*_recon_coset(mode, y_cur, rs))
+    return _subset_parities(y_cur, zmax, rs, stored)
+
+
+def _recon_coset(mode: str, y_cur, rs) -> tuple[int, list[int]]:
+    """(offset, basis) of the reconstruction parities when every payload is free.
+    SQ advice then indexes all 2^m subsets, so none decodes to the sentinel."""
+    if mode == bp.PM:
+        offset = bp.parity_vector(y_cur.ones_vector(), rs)
+        return offset, _span_basis(_parity_columns(rs, y_cur.star_positions()))
+    return 0, _span_basis(_parity_columns(rs, y_cur.ones()))
+
+
+def _coset(offset: int, basis: list[int]):
+    """offset + span(basis) in Gray-code order, one XOR per value."""
+    value = offset
+    yield value
+    for i in range(1, 1 << len(basis)):
+        value ^= basis[(i & -i).bit_length() - 1]
+        yield value
+
+
+def _subset_parities(y_cur: BitVector, zmax: int, rs, limit: int) -> set[int] | None:
+    """The parities of the subsets of y_cur with at most zmax elements, and the
+    decode sentinel's when some payload has no subset; None past limit values.
+    parity_vector is linear and a repeated column cancels: grow the XORs of at
+    most zmax columns breadth-first."""
+    cols = _parity_columns(rs, y_cur.ones())
+    parities, frontier = {0}, {0}
+    for _ in range(zmax):
+        frontier = {v ^ c for v in frontier for c in cols}
+        frontier -= parities
+        if not frontier:
+            break
+        parities |= frontier
+        if len(parities) > limit:
+            return None
+    m = len(cols)
+    if (1 << bp.sq_advice_width(m, zmax)) > bp.subset_count(m, zmax):
         parities.add(bp.parity_vector(bp.decode_failed_sentinel(y_cur.dim), rs))
-    return lambda target: target in parities
+    return parities
 
 
 def _parity_columns(rs, positions) -> list[int]:
-    cols = []
-    for pos in positions:
-        col = 0
-        for i, r in enumerate(rs):
-            col |= r.get(pos) << i
-        cols.append(col)
-    return cols
+    """Per position, the bits of the parity vectors there, as one t-bit column."""
+    return [sum(((r.value >> pos) & 1) << i for i, r in enumerate(rs)) for pos in positions]
 
 
 def _span_basis(cols: list[int]) -> list[int]:
@@ -873,6 +918,10 @@ _SITE_NAME = dict(enumerate(_SITES))
 _MODE_CODE = {bp.PM: 0, bp.SQ: 1}
 _MODE_NAME = {v: k for k, v in _MODE_CODE.items()}
 _TRUNCATED = "tree file is truncated: it ends inside the {}"
+# The deepest node nesting a tree file may have, written or read. Built trees
+# reach 19 levels (pm-iter); 128 stays well inside the recursion limit.
+MAX_TREE_DEPTH = 128
+_TOO_DEEP = f"tree nodes nest deeper than {MAX_TREE_DEPTH} levels"
 
 
 # Fixed-size parts of the file. Every node starts with its kind byte.
@@ -921,50 +970,50 @@ def serialize(tree: ProtocolTree) -> bytes:
         buf.write(b"\x00")
     else:
         buf.write(b"\x01")
-        _write_node(buf, tree.root)
+        _write_node(buf, tree.root, 0, {})
     return buf.getvalue()
 
 
-def _write_children(buf, children: dict) -> None:
-    for (nbits, value) in sorted(children):
+def _write_children(buf, children: dict, depth: int, runs: dict) -> None:
+    for (nbits, value), child in sorted(children.items()):  # keys are unique
         buf.write(_COUNT.pack(nbits))
         buf.write(value.to_bytes((nbits + 7) // 8, "little"))
-        _write_node(buf, children[(nbits, value)])
+        _write_node(buf, child, depth + 1, runs)
 
 
-def _write_node(buf, node) -> None:
+def _write_node(buf, node, depth: int, runs: dict) -> None:
+    """Refuses the nesting the reader refuses; runs holds the bytes of each shared rs."""
+    if depth > MAX_TREE_DEPTH:
+        raise TreeError(_TOO_DEEP)
     if isinstance(node, (AliceNode, BobNode)):
         kind = _NODE_ALICE if isinstance(node, AliceNode) else _NODE_BOB
         buf.write(_NODE_HEADERS[kind].pack(kind, _SITE_CODE[node.site], len(node.children)))
-        _write_children(buf, node.children)
+        _write_children(buf, node.children, depth, runs)
     elif isinstance(node, MerlinDeferred):
         kind = _NODE_MERLIN_DEFERRED
         buf.write(_NODE_HEADERS[kind].pack(kind, _MODE_CODE[node.mode], node.z))
-        _write_node(buf, node.child)
+        _write_node(buf, node.child, depth + 1, runs)
     elif isinstance(node, MerlinExplicit):
         kind = _NODE_MERLIN_EXPLICIT
         mode = _MODE_CODE[node.mode]
         buf.write(_NODE_HEADERS[kind].pack(kind, mode, node.z, node.cap, len(node.children)))
-        _write_children(buf, node.children)
+        _write_children(buf, node.children, depth, runs)
     elif isinstance(node, CarolNode):
         kind = _NODE_CAROL
         site = _SITE_CODE[node.site]
         buf.write(_NODE_HEADERS[kind].pack(kind, site, node.dim, len(node.vectors), node.private))
-        nbytes = max(1, (node.dim + 7) // 8)
-        for v in node.vectors:
-            buf.write(v.value.to_bytes(nbytes, "little"))
-        _write_node(buf, node.child)
+        run = (node.dim, id(node.vectors))
+        raw = runs.get(run)
+        if raw is None:
+            nbytes = max(1, (node.dim + 7) // 8)
+            raw = runs[run] = b"".join(v.value.to_bytes(nbytes, "little") for v in node.vectors)
+        buf.write(raw)
+        _write_node(buf, node.child, depth + 1, runs)
     elif isinstance(node, Leaf):
         buf.write(_NODE_HEADERS[_NODE_LEAF].pack(_NODE_LEAF, len(node.candidates)))
-        for i in node.candidates:
-            buf.write(_COUNT.pack(i))
+        buf.write(struct.pack(f"<{len(node.candidates)}I", *node.candidates))
     else:
         raise TreeError(f"unserializable node {type(node).__name__}")
-
-
-# The deepest node nesting a tree file may have. Built trees reach 19 levels
-# (pm-iter); reading and walking 128 stays well inside the recursion limit.
-MAX_TREE_DEPTH = 128
 
 
 class _Reader:
@@ -1010,7 +1059,7 @@ class _Reader:
 
     def node(self, depth: int = 0):
         if depth > MAX_TREE_DEPTH:
-            raise TreeError(f"tree nodes nest deeper than {MAX_TREE_DEPTH} levels")
+            raise TreeError(_TOO_DEEP)
         if self.pos == self.size:
             raise TreeError(_TRUNCATED.format("node kind"))
         kind = self.data[self.pos]

@@ -5,6 +5,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from pmtree.base_protocol import (
+    advice_width,
+    decode,
+    decode_failed_sentinel,
+    parity_vector,
+    subset_count,
+    unrank_subset,
+)
 from pmtree.bits import BitVector, Dataset, TernaryPattern
 from pmtree.compiler import (
     MAX_TREE_DEPTH,
@@ -15,6 +23,12 @@ from pmtree.compiler import (
     ProtocolTree,
     TreeError,
     TreeSizeError,
+    _SUBSET_ENUM_LIMIT,
+    _coset,
+    _reachable_parities,
+    _recon_reachability,
+    _span_basis,
+    _subset_parities,
     deserialize,
     load_tree,
     paper_params,
@@ -313,6 +327,98 @@ def test_nesting_past_the_depth_bound_raises_tree_error():
             deserialize(_nested_blob(tree, levels), tree.dataset)
 
 
+def _deferred_chain(levels):
+    node = Leaf(())
+    for _ in range(levels):
+        node = MerlinDeferred("pm", 4.0, node)
+    return node
+
+
+def test_serialize_refuses_nesting_the_reader_refuses(tmp_path):
+    tree = _all_kinds_tree()
+    deepest = ProtocolTree(_deferred_chain(MAX_TREE_DEPTH), tree.meta, tree.dataset)
+    assert serialize(deepest) == _nested_blob(tree, MAX_TREE_DEPTH)
+    too_deep = ProtocolTree(_deferred_chain(MAX_TREE_DEPTH + 1), tree.meta, tree.dataset)
+    with pytest.raises(TreeError, match="nest deeper"):
+        serialize(too_deep)
+    path = tmp_path / "deep.tree"
+    with pytest.raises(TreeError, match="nest deeper"):
+        save_tree(too_deep, path)
+    assert not path.exists()
+
+
+def _random_vectors(tape, count, d):
+    return tuple(BitVector(d, tape.draw_bits(d)) for _ in range(count))
+
+
+def test_gray_code_coset_is_the_brute_force_span():
+    tape = RandomTape(17, Stream.PUB)
+    for _ in range(200):
+        t = 1 + tape.draw_below(10)
+        cols = [tape.draw_bits(t) for _ in range(tape.draw_below(9))]
+        offset = tape.draw_bits(t)
+        basis = _span_basis(cols)
+        span = {0}
+        for c in cols:
+            span |= {v ^ c for v in span}
+        values = list(_coset(offset, basis))
+        assert len(values) == 1 << len(basis) == len(span)
+        assert set(values) == {offset ^ v for v in span}
+
+
+def test_xor_closure_is_the_parities_of_the_ranked_subsets():
+    tape = RandomTape(19, Stream.PUB)
+    sentinels = 0
+    for _ in range(150):
+        d = 2 + tape.draw_below(11)
+        y = BitVector(d, tape.draw_bits(d))
+        m = y.popcount()
+        zmax = tape.draw_below(m + 1)
+        rs = _random_vectors(tape, 1 + tape.draw_below(12), d)
+        total = subset_count(m, zmax)
+        reach = {parity_vector(unrank_subset(y, r, zmax), rs) for r in range(total)}
+        expected = set(reach)
+        if (1 << advice_width("sq", y, zmax)) > total:
+            expected.add(parity_vector(decode_failed_sentinel(d), rs))
+            sentinels += 1
+        assert _subset_parities(y, zmax, rs, len(reach)) == expected
+        if len(reach) > 1:
+            assert _subset_parities(y, zmax, rs, len(reach) - 1) is None
+    assert sentinels > 20
+
+
+def test_reachable_parities_are_those_of_every_decoded_payload():
+    # Both walker paths, the lookup and the membership test, against the
+    # parities of what each advice payload decodes to, sentinel included.
+    tape = RandomTape(37, Stream.PUB)
+    full_rank = 0
+    for case in range(200):
+        d = 2 + tape.draw_below(9)
+        if case % 2:
+            mode, y = "pm", random_pattern_query(d, tape.draw_below(d + 1), tape)
+        else:
+            mode, y = "sq", BitVector(d, tape.draw_bits(d))
+        z = float(tape.draw_below(d + 1))
+        rs = _random_vectors(tape, 1 + tape.draw_below(8), d)
+        payloads = range(1 << advice_width(mode, y, z))
+        reach = {parity_vector(decode(mode, y, p, math.floor(z)), rs) for p in payloads}
+        full_rank += len(reach) == 1 << len(rs)
+        reachable = _recon_reachability(mode, y, z, rs)
+        assert {a for a in range(1 << len(rs)) if reachable(a)} == reach
+        assert set(_reachable_parities(mode, y, z, rs, 1 << len(rs))) == reach
+    assert full_rank > 20
+
+
+def test_reachability_accepts_every_bucket_past_the_closure_guard():
+    tape = RandomTape(29, Stream.PUB)
+    d = 32
+    y = BitVector.from_ones(d, distinct_positions(tape, d, 20))
+    rs = _random_vectors(tape, 14, d)
+    assert _subset_parities(y, 10, rs, _SUBSET_ENUM_LIMIT) is None
+    reachable = _recon_reachability("sq", y, 10.0, rs)
+    assert all(reachable(tape.draw_bits(14)) for _ in range(100))
+
+
 def _pm_loop_tree():
     # The PM forced-loop tree of the pinned digests.
     ds = _random_dataset(10, 10, seed=11, sparse=True)
@@ -347,8 +453,8 @@ def test_loaded_tree_keeps_the_builders_vector_sharing():
 
 def test_sq_queries_past_the_enumeration_guard_are_exact():
     # A 24-bit query on the iterative path makes the small stage's bounded-weight
-    # advice count exceed the enumeration guard; the walk then tests every
-    # stored bucket and the leaf scan keeps the answers exact.
+    # advice count exceed the builder's enumeration guard. The walker's XOR
+    # closure is bounded by 2^t instead (256 values here), and the answers are exact.
     d = 40
     ds = _random_dataset(40, d, seed=1, sparse=True)
     params = derive_params(d, 24, 0.25, 0.05, t_cap=2, base_factor=1.0)

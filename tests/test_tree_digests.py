@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from pmtree import compiler
 from pmtree.bits import BitVector, Dataset
 from pmtree.compiler import preprocess, query, serialize
 from pmtree.dist import EmpiricalDistribution
@@ -129,6 +130,27 @@ def test_tree_bytes_and_walk_counters_are_pinned(name):
     tree, queries = make()
     assert hashlib.sha256(serialize(tree)).hexdigest() == tree_sha
     assert _walk_digest(tree, queries) == walk_sha
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_bucket_lookups_give_the_reports_of_bucket_tests(name, monkeypatch):
+    """Each query reports the same with the walker's reachable-bucket lookups
+    as with them switched off, when it tests every stored bucket instead."""
+    tree, queries = PINNED[name][0]()
+    lookup = compiler._reachable_parities
+    taken = []
+
+    def counted(*args):
+        values = lookup(*args)
+        taken.append(values is not None)
+        return values
+
+    monkeypatch.setattr(compiler, "_reachable_parities", counted)
+    with_lookups = [query(tree, q) for q in queries]
+    monkeypatch.setattr(compiler, "_reachable_parities", lambda *args: None)
+    assert [query(tree, q) for q in queries] == with_lookups
+    if name != "pm-loop":  # its stages store fewer buckets than may be reachable
+        assert any(taken)
 
 
 SIM_TRANSCRIPTS_SHA256 = "dba66e77f593534df30449eb22a5832f70993cc7e34fbf27cc565aa63b87782e"
