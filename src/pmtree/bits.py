@@ -278,12 +278,16 @@ class Dataset:
             if len(header) != 2:
                 raise ValueError("dataset header must be 'd n'")
             dim, n = int(header[0]), int(header[1])
+            if n < 0:
+                raise ValueError(f"dataset header gives a negative point count {n}")
             points = []
             for _ in range(n):
                 line = fh.readline().strip()
                 if len(line) != dim:
                     raise ValueError("dataset line length does not match header dimension")
                 points.append(BitVector.from01(line))
+            if fh.read().strip():
+                raise ValueError(f"dataset holds more than the {n} points its header gives")
         return cls(dim, tuple(points))
 
 

@@ -10,14 +10,14 @@ import sys
 
 from . import acceptance
 from .bits import BitVector, Dataset, TernaryPattern, load_pm_queries, load_sq_queries, save_queries
-from .compiler import TreeError, load_tree, preprocess, query, save_tree
+from .compiler import DEFAULT_NODE_CEILING, TreeError, load_tree, preprocess, query, save_tree
 from .disjointness import StdParams, fix_randomness, uniform_size_dataset
 from .dist import EmpiricalDistribution
 from .engine import ProtocolParams, RandomTape, Stream, Tapes, derive_params
 from .generators import gen_planted, gen_random_sq, nonmatching_pm_queries
 from .oracles import accept_rate
 from .pm_protocol import run_pm
-from .presets import desk_params
+from .presets import DESK_T_CAP, desk_params
 from .reports import Report, loglog_slope, mean, stderr_of_mean
 from .sq_protocol import run_sq
 from . import base_protocol as bp
@@ -76,8 +76,9 @@ def _params_from_args(args, n: int, d: int, default_w: float | None = None) -> P
     if getattr(args, "cap_t", None) is not None:
         t_cap = args.cap_t
     if preset == "desk":
-        return desk_params(n, d, w, eps=eps, delta=delta, t_cap=t_cap if t_cap else 128)
-    return derive_params(d, w, eps, delta if delta else eps / 10.0, t_cap=t_cap, **fields)
+        t_cap = DESK_T_CAP if t_cap is None else t_cap
+        return desk_params(n, d, w, eps=eps, delta=delta, t_cap=t_cap)
+    return derive_params(d, w, eps, eps / 10.0 if delta is None else delta, t_cap=t_cap, **fields)
 
 
 def _cmd_gen(args) -> int:
@@ -261,7 +262,7 @@ def _cmd_bench(args) -> int:
     for n in sizes:
         pts = tuple(BitVector(args.d, tape.draw_bits(args.d)) for _ in range(n))
         dataset = Dataset(args.d, pts)
-        params = desk_params(n, args.d, args.w, t_cap=args.cap_t if args.cap_t else 128)
+        params = _params_from_args(args, n, args.d)
         tree = preprocess(dataset, "pm", params, seed=args.seed + n,
                           node_ceiling=args.node_ceiling)
         queries = nonmatching_pm_queries(dataset, args.w, args.queries, seed=args.seed + 1 + n)
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float)
     p.add_argument("--delta", type=float)
     p.add_argument("--cap-t", dest="cap_t", type=int)
-    p.add_argument("--node-ceiling", type=int, default=1 << 26)
+    p.add_argument("--node-ceiling", type=int, default=DEFAULT_NODE_CEILING)
     p.add_argument("--params-file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -404,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=int, default=4)
     p.add_argument("--queries", type=int, default=50)
     p.add_argument("--cap-t", dest="cap_t", type=int)
-    p.add_argument("--node-ceiling", type=int, default=1 << 26)
+    p.add_argument("--node-ceiling", type=int, default=DEFAULT_NODE_CEILING)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv")
     p.add_argument("--json-out")

@@ -29,7 +29,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from . import base_protocol as bp
 from .bits import BitVector, Dataset, TernaryPattern, match_pm, subset_of
@@ -41,7 +41,6 @@ from .engine import (
     STATUS_WIDTH,
     ProtocolParams,
     Tapes,
-    Transcript,
     index_width,
 )
 from .pm_protocol import (
@@ -125,7 +124,6 @@ class CarolNode:
     site: str
     dim: int
     vectors: tuple[BitVector, ...]
-    private: bool
     child: object
 
 
@@ -152,13 +150,6 @@ class TreeMeta:
     node_count: int
     leaf_count: int
     candidate_total: int
-    max_branching: dict[int, int] = field(default_factory=dict)
-
-    def alphabet_product(self) -> int:
-        out = 1
-        for depth in sorted(self.max_branching):
-            out *= max(1, self.max_branching[depth])
-        return out
 
 
 @dataclass
@@ -174,17 +165,14 @@ class _Budget:
         self.nodes = 0
         self.leaves = 0
         self.candidates = 0
-        self.max_branching: dict[int, int] = {}
 
-    def note(self, depth: int, n_children: int) -> None:
+    def note(self) -> None:
         self.nodes += 1
         if self.nodes > self.ceiling:
             raise TreeSizeError(self.nodes, self.ceiling)
-        if n_children > self.max_branching.get(depth, 0):
-            self.max_branching[depth] = n_children
 
-    def note_leaf(self, depth: int, n_candidates: int) -> None:
-        self.note(depth, 0)
+    def note_leaf(self, n_candidates: int) -> None:
+        self.note()
         self.leaves += 1
         self.candidates += n_candidates
 
@@ -194,16 +182,10 @@ class _Ctx:
     dist: EmpiricalDistribution
     tapes: Tapes
     budget: _Budget
-    depth: int
 
-    def fork(self, dist=None, levels: int = 1) -> "_Ctx":
-        """A context for a node the given number of levels further down."""
-        return _Ctx(
-            dist if dist is not None else self.dist,
-            self.tapes.clone(),
-            self.budget,
-            self.depth + levels,
-        )
+    def fork(self, dist=None) -> "_Ctx":
+        """A context for a sub-tree, on its own copy of the tapes."""
+        return _Ctx(dist if dist is not None else self.dist, self.tapes.clone(), self.budget)
 
 
 Cohort = list[tuple[int, BitVector]]
@@ -225,7 +207,7 @@ def preprocess(
         params = replace(params, d=dataset.dim)
     dist = EmpiricalDistribution(dataset)
     budget = _Budget(node_ceiling)
-    ctx = _Ctx(dist, Tapes.from_seed(seed), budget, 0)
+    ctx = _Ctx(dist, Tapes.from_seed(seed), budget)
     cohort: Cohort = [(i, p) for i, p in enumerate(dataset.points)]
     if protocol == PM_PROTOCOL:
         root = _build_pm(ctx, params, cohort, _leaf_maker)
@@ -239,7 +221,6 @@ def preprocess(
         node_count=budget.nodes,
         leaf_count=budget.leaves,
         candidate_total=budget.candidates,
-        max_branching=budget.max_branching,
     )
     return ProtocolTree(root, meta, dataset)
 
@@ -248,7 +229,7 @@ def _leaf_maker(ctx: _Ctx, cohort: Cohort):
     if not cohort:
         return None
     ids = tuple(sorted(i for i, _ in cohort))
-    ctx.budget.note_leaf(ctx.depth, len(ids))
+    ctx.budget.note_leaf(len(ids))
     return Leaf(ids)
 
 
@@ -257,11 +238,11 @@ def _leaf_maker(ctx: _Ctx, cohort: Cohort):
 # ---------------------------------------------------------------------------
 
 
-def _emit(ctx: _Ctx, depth: int, cls, site: str, children: dict):
-    """cls(site, children), counted at depth; None when no branch survived."""
+def _emit(ctx: _Ctx, cls, site: str, children: dict):
+    """cls(site, children), counted; None when no branch survived."""
     if not children:
         return None
-    ctx.budget.note(depth, len(children))
+    ctx.budget.note()
     return cls(site, children)
 
 
@@ -292,7 +273,7 @@ def _build_base(
         carol = _build_parities(ctx, d, rs, groups, AliceNode, BobNode, cont)
         if carol is None:
             return None
-        ctx.budget.note(ctx.depth, 1)
+        ctx.budget.note()
         return MerlinDeferred(mode, z, carol)
 
     # Swapped wiring: enumerate every advice value some point could make true,
@@ -317,7 +298,7 @@ def _build_base(
             merlin_children[(width, m)] = carol
     if not merlin_children:
         return None
-    ctx.budget.note(ctx.depth, len(merlin_children))
+    ctx.budget.note()
     return MerlinExplicit(bp.SQ, z, w, merlin_children)
 
 
@@ -327,16 +308,15 @@ def _build_parities(ctx: _Ctx, d: int, rs, groups: dict[int, Cohort], point_cls,
     t = len(rs)
     children: dict[tuple[int, int], object] = {}
     for a in sorted(groups):
-        # below merlin, carol, point and reconstruction parities
-        leaf = cont(ctx.fork(levels=4), groups[a])
+        leaf = cont(ctx.fork(), groups[a])
         if leaf is not None:
             recon = {(t, a): leaf}
-            children[(t, a)] = _emit(ctx, ctx.depth + 3, recon_cls, "base-recon-parities", recon)
-    point = _emit(ctx, ctx.depth + 2, point_cls, "base-point-parities", children)
+            children[(t, a)] = _emit(ctx, recon_cls, "base-recon-parities", recon)
+    point = _emit(ctx, point_cls, "base-point-parities", children)
     if point is None:
         return None
-    ctx.budget.note(ctx.depth + 1, 1)
-    return CarolNode("base-parity-vecs", d, rs, True, point)
+    ctx.budget.note()
+    return CarolNode("base-parity-vecs", d, rs, point)
 
 
 def _build_sq(ctx: _Ctx, params: ProtocolParams, cohort: Cohort, cont):
@@ -363,9 +343,7 @@ def _build_sq_iter(
 
     if window:
         big_ctx = ctx.fork()
-        batch = draw_conditioned_batch(
-            big_ctx.dist, small_size, w_cur, params.t, big_ctx.tapes.pub, Transcript()
-        )
+        batch = draw_conditioned_batch(big_ctx.dist, small_size, w_cur, params.t, big_ctx.tapes.pub)
 
         def overlaps():
             # Query found a near-subset sample: every (index, overflow rank).
@@ -379,7 +357,7 @@ def _build_sq_iter(
                         continue
                     shed = xi.popcount() - overflow.popcount()
                     keep = xi.complement()
-                    sub_ctx = big_ctx.fork(big_ctx.dist.restrict_dist(keep), levels=4)
+                    sub_ctx = big_ctx.fork(big_ctx.dist.restrict_dist(keep))
                     shrunk = [(i, x.restrict(keep)) for i, x in survivors]
                     sub = _build_sq_iter(sub_ctx, params, shrunk, w_cur - shed, iteration + 1, cont)
                     yield overflow_key(istar, params.t, xi, rank, h), sub
@@ -395,7 +373,7 @@ def _build_sq_iter(
             if carol is not None:
                 children[(STATUS_WIDTH, BIG)] = carol
 
-    return _emit(ctx, ctx.depth, AliceNode, "sq-status", children)
+    return _emit(ctx, AliceNode, "sq-status", children)
 
 
 def _build_near_step(ctx: _Ctx, protocol: str, batch, found, none):
@@ -408,19 +386,19 @@ def _build_near_step(ctx: _Ctx, protocol: str, batch, found, none):
     for key, sub in found:
         if sub is not None:
             gate = {(STATUS_WIDTH, CONTINUE): sub}
-            gates[key] = _emit(ctx, ctx.depth + 3, AliceNode, gate_site, gate)
+            gates[key] = _emit(ctx, AliceNode, gate_site, gate)
     tag_children: dict[tuple[int, int], object] = {}
-    index = _emit(ctx, ctx.depth + 2, BobNode, index_site, gates)
+    index = _emit(ctx, BobNode, index_site, gates)
     if index is not None:
         tag_children[(STATUS_WIDTH, CONTINUE)] = index
     halving = none()
     if halving is not None:
         tag_children[(STATUS_WIDTH, BIG)] = halving
-    tag = _emit(ctx, ctx.depth + 1, BobNode, tag_site, tag_children)
+    tag = _emit(ctx, BobNode, tag_site, tag_children)
     if tag is None:
         return None
-    ctx.budget.note(ctx.depth, 1)
-    return CarolNode(batch_site, ctx.dist.dim, tuple(batch), False, tag)
+    ctx.budget.note()
+    return CarolNode(batch_site, ctx.dist.dim, tuple(batch), tag)
 
 
 def _build_halving(
@@ -430,32 +408,32 @@ def _build_halving(
     """The halving step below a "no near sample" announcement: store the
     drawn sets, the accept branch and, per set, the sub-problem on the kept
     coordinates, built by recurse(ctx, params, cohort, cont)."""
-    none_ctx = ctx.fork(levels=2)
+    none_ctx = ctx.fork()
     dim = none_ctx.dist.dim
     halves = tuple(none_ctx.tapes.pub.draw_vector(dim) for _ in range(n_halving))
     halving_children: dict[tuple[int, int], object] = {}
-    accept = cont(none_ctx.fork(levels=2), list(cohort))
+    accept = cont(none_ctx.fork(), list(cohort))
     if accept is not None:
         halving_children[(STATUS_WIDTH, BIG)] = accept
     jw = index_width(n_halving)
     j_children: dict[tuple[int, int], object] = {}
     for j, keep in enumerate(halves):
         if keep.popcount() == 0:
-            sub = cont(none_ctx.fork(levels=3), list(cohort))
+            sub = cont(none_ctx.fork(), list(cohort))
         else:
-            sub_ctx = none_ctx.fork(none_ctx.dist.restrict_dist(keep), levels=3)
+            sub_ctx = none_ctx.fork(none_ctx.dist.restrict_dist(keep))
             shrunk = [(i, x.restrict(keep)) for i, x in cohort]
             sub = recurse(sub_ctx, halved_params(params, keep.popcount(), w_cur), shrunk, cont)
         if sub is not None:
             j_children[(jw, j)] = sub
-    jnode = _emit(none_ctx, none_ctx.depth + 2, BobNode, prefix + "-half-index", j_children)
+    jnode = _emit(none_ctx, BobNode, prefix + "-half-index", j_children)
     if jnode is not None:
         halving_children[(STATUS_WIDTH, CONTINUE)] = jnode
-    htag = _emit(none_ctx, none_ctx.depth + 1, BobNode, prefix + "-halving-tag", halving_children)
+    htag = _emit(none_ctx, BobNode, prefix + "-halving-tag", halving_children)
     if htag is None:
         return None
-    none_ctx.budget.note(none_ctx.depth, 1)
-    return CarolNode(prefix + "-halving-sets", dim, halves, False, htag)
+    none_ctx.budget.note()
+    return CarolNode(prefix + "-halving-sets", dim, halves, htag)
 
 
 def _build_pm(ctx: _Ctx, params: ProtocolParams, cohort: Cohort, cont):
@@ -486,7 +464,7 @@ def _build_pm(ctx: _Ctx, params: ProtocolParams, cohort: Cohort, cont):
                     ctx2, bp.SQ, recon_cohort, h, sub_sq.w, sub_sq.delta, cont, swapped=True
                 )
 
-            sub_ctx = ctx.fork(ctx.dist.xor_shift(xi), levels=4)
+            sub_ctx = ctx.fork(ctx.dist.xor_shift(xi))
             yield (iw, istar), _build_sq(sub_ctx, sub_sq, light, cont_reverse)
 
     def halving():
@@ -564,7 +542,7 @@ def _walk_base(walk: _Walk, node, y_cur, z: float, w: float, mode: str, swapped:
         if not isinstance(node, MerlinDeferred):
             raise TreeError("expected a deferred advice edge")
         carol = node.child
-        if not isinstance(carol, CarolNode) or not carol.private:
+        if not isinstance(carol, CarolNode) or carol.site != "base-parity-vecs":
             raise TreeError("expected stored parity vectors")
         rs = carol.vectors
         walk.bits_walked += carol.dim * len(rs)
@@ -596,7 +574,7 @@ def _walk_base(walk: _Walk, node, y_cur, z: float, w: float, mode: str, swapped:
         raise TreeError("expected an explicit advice edge")
     rs = None
     for (mwidth, _m), carol in node.children.items():
-        if not isinstance(carol, CarolNode) or not carol.private:
+        if not isinstance(carol, CarolNode) or carol.site != "base-parity-vecs":
             raise TreeError("expected stored parity vectors")
         if carol.vectors is not rs:
             # The advice values of one stage share their rs, and so their b.
@@ -958,57 +936,68 @@ def serialize(tree: ProtocolTree) -> bytes:
             f"format v{FORMAT_VERSION} cannot store {', '.join(lost)}: "
             "the tree would reload with other params"
         )
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(_HEADER.pack(FORMAT_VERSION, 1 if m.protocol == PM_PROTOCOL else 2, m.seed))
-    buf.write(_PARAMS.pack(*stored, m.node_count, m.leaf_count, m.candidate_total))
-    buf.write(m.fingerprint)
-    buf.write(_COUNT.pack(len(m.max_branching)))
-    for depth in sorted(m.max_branching):
-        buf.write(_BRANCH.pack(depth, m.max_branching[depth]))
+    body = io.BytesIO()
+    widest = [0] * (MAX_TREE_DEPTH + 1)
     if tree.root is None:
-        buf.write(b"\x00")
+        body.write(b"\x00")
     else:
-        buf.write(b"\x01")
-        _write_node(buf, tree.root, 0, {})
-    return buf.getvalue()
+        body.write(b"\x01")
+        _write_node(body, tree.root, 0, widest, {})
+    # Format v1's branching table: the most children of a node at each depth
+    # that holds more than leaves.
+    table = [_BRANCH.pack(depth, most) for depth, most in enumerate(widest) if most]
+    return b"".join([
+        MAGIC,
+        _HEADER.pack(FORMAT_VERSION, 1 if m.protocol == PM_PROTOCOL else 2, m.seed),
+        _PARAMS.pack(*stored, m.node_count, m.leaf_count, m.candidate_total),
+        m.fingerprint,
+        _COUNT.pack(len(table)),
+        *table,
+        body.getvalue(),
+    ])
 
 
-def _write_children(buf, children: dict, depth: int, runs: dict) -> None:
+def _write_children(buf, children: dict, depth: int, widest: list, runs: dict) -> None:
+    if len(children) > widest[depth]:
+        widest[depth] = len(children)
     for (nbits, value), child in sorted(children.items()):  # keys are unique
         buf.write(_COUNT.pack(nbits))
         buf.write(value.to_bytes((nbits + 7) // 8, "little"))
-        _write_node(buf, child, depth + 1, runs)
+        _write_node(buf, child, depth + 1, widest, runs)
 
 
-def _write_node(buf, node, depth: int, runs: dict) -> None:
-    """Refuses the nesting the reader refuses; runs holds the bytes of each shared rs."""
+def _write_node(buf, node, depth: int, widest: list, runs: dict) -> None:
+    """Refuses the nesting the reader refuses; widest[k] gets the most children
+    of a node at depth k, and runs holds the bytes of each shared rs."""
     if depth > MAX_TREE_DEPTH:
         raise TreeError(_TOO_DEEP)
     if isinstance(node, (AliceNode, BobNode)):
         kind = _NODE_ALICE if isinstance(node, AliceNode) else _NODE_BOB
         buf.write(_NODE_HEADERS[kind].pack(kind, _SITE_CODE[node.site], len(node.children)))
-        _write_children(buf, node.children, depth, runs)
+        _write_children(buf, node.children, depth, widest, runs)
     elif isinstance(node, MerlinDeferred):
         kind = _NODE_MERLIN_DEFERRED
         buf.write(_NODE_HEADERS[kind].pack(kind, _MODE_CODE[node.mode], node.z))
-        _write_node(buf, node.child, depth + 1, runs)
+        widest[depth] = widest[depth] or 1
+        _write_node(buf, node.child, depth + 1, widest, runs)
     elif isinstance(node, MerlinExplicit):
         kind = _NODE_MERLIN_EXPLICIT
         mode = _MODE_CODE[node.mode]
         buf.write(_NODE_HEADERS[kind].pack(kind, mode, node.z, node.cap, len(node.children)))
-        _write_children(buf, node.children, depth, runs)
+        _write_children(buf, node.children, depth, widest, runs)
     elif isinstance(node, CarolNode):
         kind = _NODE_CAROL
         site = _SITE_CODE[node.site]
-        buf.write(_NODE_HEADERS[kind].pack(kind, site, node.dim, len(node.vectors), node.private))
+        private = node.site == "base-parity-vecs"
+        buf.write(_NODE_HEADERS[kind].pack(kind, site, node.dim, len(node.vectors), private))
         run = (node.dim, id(node.vectors))
         raw = runs.get(run)
         if raw is None:
             nbytes = max(1, (node.dim + 7) // 8)
             raw = runs[run] = b"".join(v.value.to_bytes(nbytes, "little") for v in node.vectors)
         buf.write(raw)
-        _write_node(buf, node.child, depth + 1, runs)
+        widest[depth] = widest[depth] or 1
+        _write_node(buf, node.child, depth + 1, widest, runs)
     elif isinstance(node, Leaf):
         buf.write(_NODE_HEADERS[_NODE_LEAF].pack(_NODE_LEAF, len(node.candidates)))
         buf.write(struct.pack(f"<{len(node.candidates)}I", *node.candidates))
@@ -1085,9 +1074,10 @@ class _Reader:
                     BitVector(dim, int.from_bytes(raw[k : k + nbytes], "little"))
                     for k in range(0, len(raw), nbytes)
                 )
-            return CarolNode(
-                self.name(_SITE_NAME, code), dim, vectors, private == 1, self.node(depth + 1)
-            )
+            site = self.name(_SITE_NAME, code)
+            if private != (site == "base-parity-vecs"):
+                raise TreeError(f"private flag {private} does not fit the site {site}")
+            return CarolNode(site, dim, vectors, self.node(depth + 1))
         if kind == _NODE_MERLIN_DEFERRED:
             _, code, z = head
             return MerlinDeferred(self.name(_MODE_NAME, code), z, self.node(depth + 1))
@@ -1113,7 +1103,7 @@ def deserialize(data: bytes, dataset: Dataset) -> ProtocolTree:
     if fingerprint != dataset.fingerprint():
         raise TreeError("tree was built over a different dataset")
     (nbranch,) = r.unpack(_COUNT, "branching table")
-    max_branching = dict(r.unpack(_BRANCH, "branching table") for _ in range(nbranch))
+    r.take(_BRANCH.size * nbranch, "branching table")
     root = r.node() if r.take(1, "root flag")[0] else None
     if r.pos != r.size:
         raise TreeError(f"tree file has {r.size - r.pos} bytes after the tree")
@@ -1125,7 +1115,6 @@ def deserialize(data: bytes, dataset: Dataset) -> ProtocolTree:
         node_count=node_count,
         leaf_count=leaf_count,
         candidate_total=cand_total,
-        max_branching=max_branching,
     )
     return ProtocolTree(root, meta, dataset)
 

@@ -243,6 +243,8 @@ class ProtocolParams:
             raise ParamError("sparsity budget must be at least 1")
         if not 0 < self.delta <= self.eps < 0.5:
             raise ParamError("need 0 < delta <= eps < 0.5")
+        if self.t_cap is not None and self.t_cap < 1:
+            raise ParamError(f"sample cap t_cap must be at least 1, not {self.t_cap}")
 
     @property
     def ell(self) -> float:

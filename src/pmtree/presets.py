@@ -2,9 +2,11 @@
 
 "desk" is the hand-tuned regime every experiment and acceptance run uses:
 eps in [0.05, 0.5], the accept-side error budget delta tied to the dataset
-size (n^-0.75, clamped into [0.001, 0.1]) so compiled trees scan sublinearly,
-and the sample cap on. compiler.paper_params evaluates the headline formulas
-verbatim; its values are far outside desk feasibility.
+size (n^-0.75, clamped into [0.001, 0.1]), and the sample cap on. Past
+n = 10^4 delta sits at the 0.001 floor and compiled trees scan linearly in n
+(1 022 candidates per query at n = 65 536, d = 64, w = 4).
+compiler.paper_params evaluates the headline formulas verbatim; its values
+are far outside desk feasibility.
 """
 
 from __future__ import annotations

@@ -171,9 +171,12 @@ def sq_exec(
             return parity_stage(feed, SQ, x_cur, y_cur, small, w, params.delta_prime, tapes, tr)
 
         tr.append(status_message(Player.ALICE, BIG, "size-in-window"))
-        batch = draw_conditioned_batch(dist_cur, small, w_cur, t, tapes.pub, tr)
+        batch = draw_conditioned_batch(dist_cur, small, w_cur, t, tapes.pub)
         if batch is None:
+            # No point of the distribution sits in the window.
+            tr.append(Message(Player.CAROL_PUB, 0, 0, "no-sample"))
             return 0
+        tr.append(batch_message(Player.CAROL_PUB, batch, dist_cur.dim, "cond-batch"))
 
         istar = near_subset_index(batch, y_cur, h)
         if istar is not None:
@@ -263,24 +266,11 @@ def overflow_key(istar: int, t: int, xi: BitVector, rank: int, h: float) -> tupl
 
 
 def draw_conditioned_batch(
-    dist: EmpiricalDistribution,
-    lo: float,
-    hi: float,
-    t: int,
-    pub: RandomTape,
-    tr: Transcript,
+    dist: EmpiricalDistribution, lo: float, hi: float, t: int, pub: RandomTape
 ) -> list[BitVector] | None:
-    """Sample t size-conditioned sets onto the public channel.
-
-    Returns None after logging a zero-bit marker when nothing qualifies; the
-    run then outputs 0 (no point of the distribution can sit in the window).
-    """
+    """t size-conditioned samples from the public tape, or None when nothing
+    qualifies."""
     first = dist.sample_size_conditioned(lo, hi, pub)
     if first is EMPTY_SUPPORT:
-        tr.append(Message(Player.CAROL_PUB, 0, 0, "no-sample"))
         return None
-    batch = [first]
-    for _ in range(t - 1):
-        batch.append(dist.sample_size_conditioned(lo, hi, pub))
-    tr.append(batch_message(Player.CAROL_PUB, batch, dist.dim, "cond-batch"))
-    return batch
+    return [first] + [dist.sample_size_conditioned(lo, hi, pub) for _ in range(t - 1)]

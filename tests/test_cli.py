@@ -57,6 +57,25 @@ def test_input_errors_exit_1_without_traceback(tmp_path, capsys):
         assert named in capsys.readouterr().err
     assert not tree.exists()
 
+    # Zero is a value, not "unset": a zero sample cap and a zero delta are refused.
+    assert main(["build", "--dataset", dataset, "--w", "4", "--cap-t", "0",
+                 "--out", str(tree)]) == 1
+    assert "t_cap must be at least 1" in capsys.readouterr().err
+    bad.write_text(json.dumps({"preset": "derive", "w": 4, "delta": 0}))
+    assert main(["build", "--dataset", dataset, "--params-file", str(bad),
+                 "--out", str(tree)]) == 1
+    assert "0 < delta" in capsys.readouterr().err
+    assert not tree.exists()
+
+    # Dataset files with more point lines than the header gives, or a negative count.
+    short = tmp_path / "short.dataset"
+    for text, named in (("4 2\n0110\n1000\n0011\n", "holds more than the 2 points"),
+                        ("4 -1\n", "header gives a negative point count -1")):
+        short.write_text(text)
+        assert main(["build", "--dataset", str(short), "--w", "2", "--out", str(tree)]) == 1
+        assert f"error: dataset {named}" in capsys.readouterr().err
+    assert not tree.exists()
+
     # Params the tree file cannot store: no file is written.
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"preset": "derive", "w": 8, "eps": 0.25, "delta": 0.05,

@@ -23,6 +23,9 @@ from pmtree.compiler import (
     ProtocolTree,
     TreeError,
     TreeSizeError,
+    _NODE_CAROL,
+    _NODE_HEADERS,
+    _SITE_CODE,
     _SUBSET_ENUM_LIMIT,
     _coset,
     _reachable_parities,
@@ -176,11 +179,31 @@ def test_leaf_count_bounded_by_alphabet_product():
     ds = _random_dataset(8, 8, seed=26, sparse=True)
     params = desk_params(8, 8, 4)
     tree = preprocess(ds, "sq", params, seed=3)
-    assert tree.meta.leaf_count <= tree.meta.alphabet_product()
+    assert tree.meta.leaf_count <= _alphabet_product(tree.root)
 
     params2 = derive_params(8, 5, 0.25, 0.05, t_cap=3, base_factor=1.0)
     tree2 = preprocess(ds, "sq", params2, seed=3, node_ceiling=1 << 22)
-    assert tree2.meta.leaf_count <= tree2.meta.alphabet_product()
+    assert tree2.meta.leaf_count <= _alphabet_product(tree2.root)
+
+
+def _children(node) -> list:
+    if isinstance(node, Leaf):
+        return []
+    return list(node.children.values()) if hasattr(node, "children") else [node.child]
+
+
+def _alphabet_product(root) -> int:
+    """The product over depths of the most children of a node at that depth."""
+    widest: dict[int, int] = {}
+
+    def visit(node, depth):
+        kids = _children(node)
+        widest[depth] = max(widest.get(depth, 1), len(kids))
+        for kid in kids:
+            visit(kid, depth + 1)
+
+    visit(root, 0)
+    return math.prod(widest.values())
 
 
 def test_space_accounting():
@@ -311,11 +334,20 @@ def test_leaf_id_outside_the_dataset_raises_tree_error():
         deserialize(serialize(tree), tree.dataset)
 
 
+def _deferred_chain(levels):
+    node = Leaf(())
+    for _ in range(levels):
+        node = MerlinDeferred("pm", 4.0, node)
+    return node
+
+
 def _nested_blob(tree, levels):
-    """tree's header over a root of `levels` nested MerlinDeferred nodes and an empty leaf."""
-    one = ProtocolTree(MerlinDeferred("pm", 4.0, Leaf(())), tree.meta, tree.dataset)
-    blob = serialize(one)
-    return blob[:-15] + blob[-15:-5] * levels + blob[-5:]
+    """tree's header over a root of `levels` nested MerlinDeferred nodes and an
+    empty leaf: the serialized MAX_TREE_DEPTH-deep chain, with the nodes past
+    the bound spliced in."""
+    deepest = ProtocolTree(_deferred_chain(MAX_TREE_DEPTH), tree.meta, tree.dataset)
+    blob = serialize(deepest)
+    return blob[:-15] + blob[-15:-5] * (levels - MAX_TREE_DEPTH + 1) + blob[-5:]
 
 
 def test_nesting_past_the_depth_bound_raises_tree_error():
@@ -327,17 +359,10 @@ def test_nesting_past_the_depth_bound_raises_tree_error():
             deserialize(_nested_blob(tree, levels), tree.dataset)
 
 
-def _deferred_chain(levels):
-    node = Leaf(())
-    for _ in range(levels):
-        node = MerlinDeferred("pm", 4.0, node)
-    return node
-
-
 def test_serialize_refuses_nesting_the_reader_refuses(tmp_path):
     tree = _all_kinds_tree()
     deepest = ProtocolTree(_deferred_chain(MAX_TREE_DEPTH), tree.meta, tree.dataset)
-    assert serialize(deepest) == _nested_blob(tree, MAX_TREE_DEPTH)
+    assert deserialize(serialize(deepest), tree.dataset).root == deepest.root
     too_deep = ProtocolTree(_deferred_chain(MAX_TREE_DEPTH + 1), tree.meta, tree.dataset)
     with pytest.raises(TreeError, match="nest deeper"):
         serialize(too_deep)
@@ -345,6 +370,26 @@ def test_serialize_refuses_nesting_the_reader_refuses(tmp_path):
     with pytest.raises(TreeError, match="nest deeper"):
         save_tree(too_deep, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("site", ["base-parity-vecs", "pm-batch"])
+def test_private_byte_that_disagrees_with_the_site_raises_tree_error(site):
+    tree = _all_kinds_tree()
+    stack = [tree.root]
+    while not (isinstance(stack[-1], CarolNode) and stack[-1].site == site):
+        stack.extend(_children(stack.pop()))
+    carol = stack[-1]
+    private = site == "base-parity-vecs"
+    head = _NODE_HEADERS[_NODE_CAROL].pack(
+        _NODE_CAROL, _SITE_CODE[site], carol.dim, len(carol.vectors), private
+    )
+    raw = b"".join(v.value.to_bytes((carol.dim + 7) // 8, "little") for v in carol.vectors)
+    blob = serialize(tree)
+    at = blob.index(head + raw) + len(head) - 1
+    flipped = blob[:at] + bytes([not private]) + blob[at + 1 :]
+    with pytest.raises(TreeError, match="private flag"):
+        deserialize(flipped, tree.dataset)
+    assert serialize(deserialize(blob, tree.dataset)) == blob
 
 
 def _random_vectors(tape, count, d):
