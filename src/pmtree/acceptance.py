@@ -24,11 +24,11 @@ from .disjointness import (
 )
 from .dist import EmpiricalDistribution
 from .engine import RandomTape, Stream, Tapes, derive_params
-from .generators import distinct_positions, gen_planted, gen_random_sq, nonmatching_pm_queries
-from .pm_protocol import pm_special_advice, run_pm
+from .generators import gen_planted, gen_random_sq, nonmatching_pm_queries, random_pattern_query
+from .pm_protocol import pm_exec, run_pm
 from .presets import desk_params
 from .reports import loglog_slope, mean
-from .sq_protocol import run_sq, sq_special_advice
+from .sq_protocol import honest_advice, run_sq, sq_exec
 
 
 @dataclass
@@ -213,9 +213,7 @@ def crit_soundness(quick: bool = False):
     accepts = 0
     for i in range(trials):
         x = BitVector(d, tape.draw_bits(d))
-        y = TernaryPattern.from_point(
-            BitVector(d, tape.draw_bits(d)), distinct_positions(tape, d, w)
-        )
+        y = random_pattern_query(d, w, tape)
         honest = bp.special_advice(bp.PM, x, y, w)
         wrong = _mutate_segments((honest,), tape)
         accepts += bp.run_base(
@@ -235,7 +233,7 @@ def crit_soundness(quick: bool = False):
             yv = BitVector(d, y_val & ((1 << (d // 2)) - 1))
             if yv.popcount() > w:
                 continue
-        honest = sq_special_advice(lam, x, yv, RandomTape(6_000_000 + i, Stream.PUB), params)
+        honest = honest_advice(sq_exec, params, lam, x, yv, RandomTape(6_000_000 + i, Stream.PUB))
         wrong = _mutate_segments(honest, tape) if honest else (
             bp.BaseAdvice(bp.SQ, 1, 2),
         )
@@ -250,10 +248,8 @@ def crit_soundness(quick: bool = False):
     accepts = 0
     for i in range(trials):
         x = pts[tape.draw_below(n_pts)]
-        y = TernaryPattern.from_point(
-            BitVector(d, tape.draw_bits(d)), distinct_positions(tape, d, w)
-        )
-        honest = pm_special_advice(lam, x, y, RandomTape(7_000_000 + i, Stream.PUB), params)
+        y = random_pattern_query(d, w, tape)
+        honest = honest_advice(pm_exec, params, lam, x, y, RandomTape(7_000_000 + i, Stream.PUB))
         wrong = _mutate_segments(honest, tape) if honest else (
             bp.BaseAdvice(bp.PM, 1, 2),
         )
@@ -286,9 +282,7 @@ def crit_fp_mass(quick: bool = False):
     fp = 0
     for i in range(trials):
         x = pts[tape.draw_below(n)]
-        y = TernaryPattern.from_point(
-            BitVector(d, tape.draw_bits(d)), distinct_positions(tape, d, w)
-        )
+        y = random_pattern_query(d, w, tape)
         out = run_pm(params, lam, x, y, None, Tapes.from_seed(8_000_000 + i)).output
         if out == 1 and not match_pm(x, y):
             fp += 1
@@ -411,7 +405,7 @@ def crit_random_instance_law(quick: bool = False):
     }
     cells = [(1, 1), (1, 0), (0, 0)]
     stat, p = chisquare([counts[c] for c in cells], [expected[c] for c in cells])
-    ok = p > 0.001
+    ok = bool(p > 0.001)  # p is a numpy float, and json cannot encode a numpy bool
     return ok, f"{n_coords} coordinates, chi2 p={p:.4f} > 0.001; containment exact"
 
 

@@ -253,11 +253,10 @@ def run_base(
     delta: float,
     advice: BaseAdvice,
     tapes: Tapes,
-    transcript: Transcript | None = None,
     *,
     swap_roles: bool = False,
 ) -> Transcript:
     """Standalone parity-check run; returns the finalized transcript."""
-    tr = transcript if transcript is not None else Transcript()
+    tr = Transcript()
     out = base_exec(mode, x, y, z, w, delta, advice, tapes, tr, swap_roles=swap_roles)
     return tr.finalize(out)

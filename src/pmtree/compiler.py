@@ -39,6 +39,7 @@ from .engine import (
     CONTINUE,
     SMALL,
     STATUS_WIDTH,
+    ParamError,
     ProtocolParams,
     Tapes,
     index_width,
@@ -88,19 +89,19 @@ class TreeSizeError(TreeError):
         self.ceiling = ceiling
 
 
-@dataclass
+@dataclass(slots=True)
 class AliceNode:
     site: str
     children: dict[tuple[int, int], object]
 
 
-@dataclass
+@dataclass(slots=True)
 class BobNode:
     site: str
     children: dict[tuple[int, int], object]
 
 
-@dataclass
+@dataclass(slots=True)
 class MerlinDeferred:
     """Advice edge whose value only the query side decodes."""
 
@@ -109,7 +110,7 @@ class MerlinDeferred:
     child: object
 
 
-@dataclass
+@dataclass(slots=True)
 class MerlinExplicit:
     """Advice edge decoded against per-point data; children keyed by value."""
 
@@ -119,7 +120,7 @@ class MerlinExplicit:
     children: dict[tuple[int, int], object]
 
 
-@dataclass
+@dataclass(slots=True)
 class CarolNode:
     site: str
     dim: int
@@ -127,7 +128,7 @@ class CarolNode:
     child: object
 
 
-@dataclass
+@dataclass(slots=True)
 class Leaf:
     candidates: tuple[int, ...]
 
@@ -238,12 +239,13 @@ def _leaf_maker(ctx: _Ctx, cohort: Cohort):
 # ---------------------------------------------------------------------------
 
 
-def _emit(ctx: _Ctx, cls, site: str, children: dict):
-    """cls(site, children), counted; None when no branch survived."""
-    if not children:
+def _emit(ctx: _Ctx, cls, *parts):
+    """cls(*parts), counted; None when the last part, the child or the
+    children, is empty: no branch survived."""
+    if not parts[-1]:
         return None
     ctx.budget.note()
-    return cls(site, children)
+    return cls(*parts)
 
 
 def _build_base(
@@ -271,10 +273,7 @@ def _build_base(
         for idx, xval in cohort:
             groups.setdefault(bp.parity_vector(xval, rs), []).append((idx, xval))
         carol = _build_parities(ctx, d, rs, groups, AliceNode, BobNode, cont)
-        if carol is None:
-            return None
-        ctx.budget.note()
-        return MerlinDeferred(mode, z, carol)
+        return _emit(ctx, MerlinDeferred, mode, z, carol)
 
     # Swapped wiring: enumerate every advice value some point could make true,
     # i.e. the ranks of all small subsets of each point's decode base.
@@ -296,10 +295,7 @@ def _build_base(
         carol = _build_parities(ctx, d, rs, groups, BobNode, AliceNode, cont)
         if carol is not None:
             merlin_children[(width, m)] = carol
-    if not merlin_children:
-        return None
-    ctx.budget.note()
-    return MerlinExplicit(bp.SQ, z, w, merlin_children)
+    return _emit(ctx, MerlinExplicit, bp.SQ, z, w, merlin_children)
 
 
 def _build_parities(ctx: _Ctx, d: int, rs, groups: dict[int, Cohort], point_cls, recon_cls, cont):
@@ -313,10 +309,7 @@ def _build_parities(ctx: _Ctx, d: int, rs, groups: dict[int, Cohort], point_cls,
             recon = {(t, a): leaf}
             children[(t, a)] = _emit(ctx, recon_cls, "base-recon-parities", recon)
     point = _emit(ctx, point_cls, "base-point-parities", children)
-    if point is None:
-        return None
-    ctx.budget.note()
-    return CarolNode("base-parity-vecs", d, rs, point)
+    return _emit(ctx, CarolNode, "base-parity-vecs", d, rs, point)
 
 
 def _build_sq(ctx: _Ctx, params: ProtocolParams, cohort: Cohort, cont):
@@ -395,10 +388,7 @@ def _build_near_step(ctx: _Ctx, protocol: str, batch, found, none):
     if halving is not None:
         tag_children[(STATUS_WIDTH, BIG)] = halving
     tag = _emit(ctx, BobNode, tag_site, tag_children)
-    if tag is None:
-        return None
-    ctx.budget.note()
-    return CarolNode(batch_site, ctx.dist.dim, tuple(batch), tag)
+    return _emit(ctx, CarolNode, batch_site, ctx.dist.dim, tuple(batch), tag)
 
 
 def _build_halving(
@@ -430,10 +420,7 @@ def _build_halving(
     if jnode is not None:
         halving_children[(STATUS_WIDTH, CONTINUE)] = jnode
     htag = _emit(none_ctx, BobNode, prefix + "-halving-tag", halving_children)
-    if htag is None:
-        return None
-    none_ctx.budget.note()
-    return CarolNode(prefix + "-halving-sets", dim, halves, htag)
+    return _emit(none_ctx, CarolNode, prefix + "-halving-sets", dim, halves, htag)
 
 
 def _build_pm(ctx: _Ctx, params: ProtocolParams, cohort: Cohort, cont):
@@ -1099,6 +1086,10 @@ def deserialize(data: bytes, dataset: Dataset) -> ProtocolTree:
     if proto_code not in (1, 2):
         raise TreeError(f"bad protocol code {proto_code}")
     *stored, node_count, leaf_count, cand_total = r.unpack(_PARAMS, "params")
+    try:
+        params = _stored_params(*stored)
+    except ParamError as exc:
+        raise TreeError(f"tree file holds params no tree is built with: {exc}") from exc
     fingerprint = r.take(32, "dataset fingerprint")
     if fingerprint != dataset.fingerprint():
         raise TreeError("tree was built over a different dataset")
@@ -1110,7 +1101,7 @@ def deserialize(data: bytes, dataset: Dataset) -> ProtocolTree:
     meta = TreeMeta(
         protocol=PM_PROTOCOL if proto_code == 1 else SQ_PROTOCOL,
         seed=seed,
-        params=_stored_params(*stored),
+        params=params,
         fingerprint=fingerprint,
         node_count=node_count,
         leaf_count=leaf_count,

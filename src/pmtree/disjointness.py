@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from math import comb
 
 from .bits import BitVector, Dataset
-from .dist import EMPTY_SUPPORT, EmpiricalDistribution
+from .dist import EmpiricalDistribution
 from .engine import RandomTape, Stream, index_width
 from .generators import distinct_positions
 from .oracles import RateEstimate
+from .sq_protocol import draw_conditioned_batch
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,10 @@ def run_std(
             ok = x_cur.subset_of(ybar_cur)
             return StdRunResult(1 if ok else 0, a_bits, b_bits, rnd + 1)
 
-        sample = dist_cur.sample_size_conditioned(theta - 0.5, dist_cur.dim, tape)
-        if sample is EMPTY_SUPPORT:
+        batch = draw_conditioned_batch(dist_cur, theta - 0.5, dist_cur.dim, t, tape)
+        if batch is None:
             b_bits += 1
             return StdRunResult(0, a_bits, b_bits, rnd + 1)
-        batch = [sample]
-        for _ in range(t - 1):
-            batch.append(dist_cur.sample_size_conditioned(theta - 0.5, dist_cur.dim, tape))
 
         istar = next((i for i, xi in enumerate(batch) if xi.subset_of(ybar_cur)), None)
         if istar is None:
@@ -118,8 +116,17 @@ class FixResult:
     estimates: dict[int, float]
 
 
-def _draw_pair(lam: EmpiricalDistribution, rho: EmpiricalDistribution, tape: RandomTape):
-    return lam.sample(tape), rho.sample(tape)
+def _wrong_verdicts(
+    lam: EmpiricalDistribution, rho: EmpiricalDistribution, params: StdParams, seed: int,
+    trials: int, tape: RandomTape,
+) -> int:
+    """How many of trials fresh pairs from tape run_std with seed decides wrongly."""
+    wrong = 0
+    for _ in range(trials):
+        x, y = lam.sample(tape), rho.sample(tape)
+        truth = 0 if x.intersects(y) else 1
+        wrong += run_std(lam, rho, x, y, seed, params).output != truth
+    return wrong
 
 
 def fix_randomness(
@@ -137,23 +144,11 @@ def fix_randomness(
     estimates: dict[int, float] = {}
     for cand in candidate_seeds:
         sel_tape = RandomTape(eval_seed ^ (cand * 0x9E3779B97F4A7C15), Stream.PUB)
-        wrong = 0
-        for _ in range(trials):
-            x, y = _draw_pair(lam, rho, sel_tape)
-            truth = 1 if not x.intersects(y) else 0
-            got = run_std(lam, rho, x, y, cand, params).output
-            wrong += 1 if got != truth else 0
-        estimates[cand] = wrong / trials
+        estimates[cand] = _wrong_verdicts(lam, rho, params, cand, trials, sel_tape) / trials
     chosen = min(candidate_seeds, key=lambda s: (estimates[s], s))
 
     held_tape = RandomTape(eval_seed ^ (chosen * 0x9E3779B97F4A7C15), Stream.PRI)
-    wrong = 0
-    for _ in range(trials):
-        x, y = _draw_pair(lam, rho, held_tape)
-        truth = 1 if not x.intersects(y) else 0
-        got = run_std(lam, rho, x, y, chosen, params).output
-        wrong += 1 if got != truth else 0
-    p = wrong / trials
+    p = _wrong_verdicts(lam, rho, params, chosen, trials, held_tape) / trials
     heldout = RateEstimate(p, math.sqrt(p * (1 - p) / trials), trials)
     return FixResult(chosen, heldout, estimates)
 

@@ -22,6 +22,11 @@ class Player(enum.Enum):
     CAROL_PRI = "Cpri"
     MERLIN = "M"
 
+    # Members are singletons, so the identity hash is exact; unlike Enum's
+    # hash of the name it runs in C, and Transcript keys a dict by Player on
+    # every message.
+    __hash__ = object.__hash__
+
 
 # 2-bit status codebook for every "inform with O(1) bits" branch announcement.
 STATUS_WIDTH = 2
@@ -65,14 +70,18 @@ class TranscriptError(Exception):
     pass
 
 
+# Iterating an Enum runs Python code; a Transcript copies this instead.
+_NO_BITS = dict.fromkeys(Player, 0)
+
+
 class Transcript:
     """Ordered message log with per-player running bit totals and a final output."""
 
-    __slots__ = ("messages", "_ca", "_cb", "_cpub", "_cpri", "_cm", "output", "advice_committed")
+    __slots__ = ("messages", "bits", "output", "advice_committed")
 
     def __init__(self):
         self.messages: list[Message] = []
-        self._ca = self._cb = self._cpub = self._cpri = self._cm = 0
+        self.bits: dict[Player, int] = _NO_BITS.copy()
         self.output = PENDING
         self.advice_committed = False
 
@@ -80,17 +89,9 @@ class Transcript:
         if self.output is not PENDING:
             raise TranscriptError("cannot append after the output is finalized")
         self.messages.append(msg)
-        s = msg.sender
-        if s is Player.ALICE:
-            self._ca += msg.nbits
-        elif s is Player.BOB:
-            self._cb += msg.nbits
-        elif s is Player.CAROL_PUB:
-            self._cpub += msg.nbits
-        elif s is Player.CAROL_PRI:
-            self._cpri += msg.nbits
-        else:
-            self._cm += msg.nbits
+        sender = msg.sender
+        self.bits[sender] += msg.nbits
+        if sender is Player.MERLIN:
             self.advice_committed = True
         return self
 
@@ -107,30 +108,20 @@ class Transcript:
             raise TranscriptError("private-tape draw before the prover message was committed")
 
     @property
-    def totals(self) -> dict[Player, int]:
-        return {
-            Player.ALICE: self._ca,
-            Player.BOB: self._cb,
-            Player.CAROL_PUB: self._cpub,
-            Player.CAROL_PRI: self._cpri,
-            Player.MERLIN: self._cm,
-        }
-
-    @property
     def c_a(self) -> int:
-        return self._ca
+        return self.bits[Player.ALICE]
 
     @property
     def c_b(self) -> int:
-        return self._cb
+        return self.bits[Player.BOB]
 
     @property
     def c_c(self) -> int:
-        return self._cpub + self._cpri
+        return self.bits[Player.CAROL_PUB] + self.bits[Player.CAROL_PRI]
 
     @property
     def c_m(self) -> int:
-        return self._cm
+        return self.bits[Player.MERLIN]
 
     def dump_lines(self) -> list[str]:
         return [

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
-from .base_protocol import SQ, PM, BaseAdvice
+from .base_protocol import SQ, PM
 from .bits import BitVector, TernaryPattern
 from .dist import EmpiricalDistribution
 from .engine import (
@@ -21,15 +22,13 @@ from .engine import (
     Message,
     Player,
     ProtocolParams,
-    RandomTape,
-    Stream,
     Tapes,
     Transcript,
     batch_message,
     index_width,
     status_message,
 )
-from .sq_protocol import AdviceFeed, ProtocolError, halving_exec, parity_stage, sq_exec
+from .sq_protocol import AdviceFeed, ProtocolError, halving_exec, parity_stage, run, sq_exec
 
 
 def pm_round_samples(params: ProtocolParams) -> int:
@@ -78,37 +77,6 @@ def shifted_pattern(y: TernaryPattern, xi: BitVector) -> TernaryPattern:
 def shift_params(params: ProtocolParams, h: float) -> ProtocolParams:
     """Parameters of the containment checks after re-centering on a sample."""
     return replace(params, w=params.w + h, eps=params.eps / 10.0, delta=params.delta / 10.0)
-
-
-def run_pm(
-    params: ProtocolParams,
-    dist: EmpiricalDistribution,
-    x: BitVector,
-    y: TernaryPattern,
-    advice: tuple[BaseAdvice, ...] | None,
-    tapes: Tapes,
-    transcript: Transcript | None = None,
-) -> Transcript:
-    """Decide whether x matches y. advice=None computes the honest prover messages."""
-    tr = transcript if transcript is not None else Transcript()
-    feed = AdviceFeed(advice)
-    out = pm_exec(params, dist, x, y, tapes, tr, feed)
-    return tr.finalize(out)
-
-
-def pm_special_advice(
-    dist: EmpiricalDistribution,
-    x: BitVector,
-    y: TernaryPattern,
-    pub_tape: RandomTape,
-    params: ProtocolParams,
-) -> tuple[BaseAdvice, ...]:
-    """Honest prover segments in invocation order (containment first, then the
-    reverse parity check), found by replaying the public part of the run."""
-    tapes = Tapes(pub_tape.clone(), RandomTape(pub_tape.seed, Stream.PRI))
-    feed = AdviceFeed(None)
-    pm_exec(params, dist, x, y, tapes, Transcript(), feed)
-    return tuple(feed.collected)
 
 
 def pm_exec(
@@ -172,3 +140,6 @@ def pm_exec(
         feed, SQ, hits, x_shift, h, sub_sq.w, sub_sq.delta, tapes, tr, swapped=True
     )
     return out_contain & out_reverse
+
+
+run_pm = partial(run, pm_exec)

@@ -37,6 +37,7 @@ class Report:
             "params": self.params,
             "aggregates": self.aggregates,
             "n_rows": len(self.rows),
+            "rows": self.rows,
         }
 
     def write_csv(self, path) -> None:

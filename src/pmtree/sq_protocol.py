@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
 from .base_protocol import (
     SQ,
     BaseAdvice,
-    advice_width,
     base_exec,
     rank_subset,
     special_advice,
@@ -53,8 +53,9 @@ class AdviceFeed:
     """Supplies prover segments to the parity subroutine invocations.
 
     With fixed segments, each invocation consumes the next one (an exhausted
-    feed yields an all-ones payload, which is just another wrong message).
-    Without segments the feed computes the honest value and records it.
+    feed yields an all-ones payload as wide as the honest segment, which is
+    just another wrong message). Without segments the feed computes the
+    honest value and records it.
     """
 
     def __init__(self, segments: tuple[BaseAdvice, ...] | None = None):
@@ -62,7 +63,7 @@ class AdviceFeed:
         self.cursor = 0
         self.collected: list[BaseAdvice] = []
 
-    def next(self, honest, mode: str, width: int) -> BaseAdvice:
+    def next(self, honest) -> BaseAdvice:
         if self.fixed is None:
             seg = honest()
             self.collected.append(seg)
@@ -71,7 +72,35 @@ class AdviceFeed:
             seg = self.fixed[self.cursor]
             self.cursor += 1
             return seg
-        return BaseAdvice(mode, (1 << width) - 1 if width else 0, width)
+        seg = honest()
+        return BaseAdvice(seg.mode, (1 << seg.width) - 1, seg.width)
+
+
+def run(
+    exec_fn, params: ProtocolParams, dist: EmpiricalDistribution, x: BitVector, y,
+    advice: tuple[BaseAdvice, ...] | None, tapes: Tapes,
+) -> Transcript:
+    """Run the interpreter exec_fn (sq_exec or pm_exec) on (x, y) and return
+    the finalized transcript. advice=None computes the honest prover messages."""
+    tr = Transcript()
+    out = exec_fn(params, dist, x, y, tapes, tr, AdviceFeed(advice))
+    return tr.finalize(out)
+
+
+def honest_advice(
+    exec_fn, params: ProtocolParams, dist: EmpiricalDistribution, x: BitVector, y,
+    pub_tape: RandomTape,
+) -> tuple[BaseAdvice, ...]:
+    """The honest prover segments of exec_fn on (x, y), in invocation order,
+    found by replaying the public part of the run.
+
+    Deterministic in (dist, x, y, pub tape state); empty tuple when the run
+    terminates without a parity subroutine.
+    """
+    tapes = Tapes(pub_tape.clone(), RandomTape(pub_tape.seed, Stream.PRI))
+    feed = AdviceFeed(None)
+    exec_fn(params, dist, x, y, tapes, Transcript(), feed)
+    return tuple(feed.collected)
 
 
 def parity_stage(
@@ -83,12 +112,8 @@ def parity_stage(
     In the swapped wiring y is the point's private data, so the advice width
     comes from the public cap w instead of y's size.
     """
-    if swapped:
-        width = sq_advice_width(math.floor(w), math.floor(z))
-    else:
-        width = advice_width(mode, y, z)
     cap = w if swapped else None
-    seg = feed.next(lambda: special_advice(mode, x, y, z, public_cap=cap), mode, width)
+    seg = feed.next(lambda: special_advice(mode, x, y, z, public_cap=cap))
     return base_exec(mode, x, y, z, w, delta, seg, tapes, tr, swap_roles=swapped)
 
 
@@ -100,40 +125,6 @@ def sq_small_size(params: ProtocolParams) -> float:
 
 def halving_count(ell: float, delta_prime: float) -> int:
     return max(1, math.ceil(math.log2(10.0 * ell / delta_prime)))
-
-
-def run_sq(
-    params: ProtocolParams,
-    dist: EmpiricalDistribution,
-    x: BitVector,
-    y: BitVector,
-    advice: tuple[BaseAdvice, ...] | None,
-    tapes: Tapes,
-    transcript: Transcript | None = None,
-) -> Transcript:
-    """Decide x subseteq y. advice=None computes the honest prover messages."""
-    tr = transcript if transcript is not None else Transcript()
-    feed = AdviceFeed(advice)
-    out = sq_exec(params, dist, x, y, tapes, tr, feed)
-    return tr.finalize(out)
-
-
-def sq_special_advice(
-    dist: EmpiricalDistribution,
-    x: BitVector,
-    y: BitVector,
-    pub_tape: RandomTape,
-    params: ProtocolParams,
-) -> tuple[BaseAdvice, ...]:
-    """Replay the public part of the run and return the honest prover segments.
-
-    Deterministic in (dist, x, y, pub tape state); empty tuple when the run
-    terminates without a parity subroutine.
-    """
-    tapes = Tapes(pub_tape.clone(), RandomTape(pub_tape.seed, Stream.PRI))
-    feed = AdviceFeed(None)
-    sq_exec(params, dist, x, y, tapes, Transcript(), feed)
-    return tuple(feed.collected)
 
 
 def sq_exec(
@@ -208,6 +199,9 @@ def sq_exec(
         )
 
     raise ProtocolError("iteration budget exhausted; parameters violate the shrink guarantee")
+
+
+run_sq = partial(run, sq_exec)
 
 
 def halving_exec(

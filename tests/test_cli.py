@@ -29,7 +29,13 @@ def test_gen_build_query_round_trip(tmp_path, capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     answers = [[int(i) for i in line.split("matches:")[1].split()] for line in lines]
     with open(inst + ".truth.json") as fh:
-        assert answers == json.load(fh)["truth"]
+        truth = json.load(fh)["truth"]
+    assert answers == truth
+    # Under --json each row carries its query's matches.
+    assert main(["query", "--tree", tree, "--dataset", inst + ".dataset",
+                 "--queries", inst + ".queries", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [[int(i) for i in r["matches"].split()] for r in rows] == truth
 
 
 def test_input_errors_exit_1_without_traceback(tmp_path, capsys):
@@ -122,6 +128,7 @@ def test_verify_one_criterion():
     ["sim", "--protocol", "sq", "--trials", "5"],
     ["bench", "--sweep-n", "64,128", "--queries", "5"],
     ["verify", "--only", "10", "--quick"],
+    ["verify", "--only", "8", "--quick"],
 ])
 def test_json_output_is_one_object(argv, capsys):
     # sim runs without --w on the default budget max(2, d // 8).

@@ -1,5 +1,6 @@
 import functools
 import math
+import struct
 
 import hypothesis.strategies as st
 import pytest
@@ -40,7 +41,7 @@ from pmtree.compiler import (
     save_tree,
     serialize,
 )
-from pmtree.engine import ParamError, RandomTape, Stream, derive_params
+from pmtree.engine import RandomTape, Stream, derive_params
 from pmtree.generators import (
     distinct_positions,
     gen_planted,
@@ -311,6 +312,21 @@ def test_serialize_refuses_params_it_cannot_store():
         serialize(tree)
 
 
+@pytest.mark.parametrize("at, layout, value, named", [
+    (23, "<d", 0.5, "sparsity budget"),  # w
+    (39, "<d", 0.0, "0 < delta"),  # delta
+    (47, "<q", 0, "t_cap must be at least 1"),  # t_cap
+])
+def test_stored_params_no_build_accepts_raise_tree_error(at, layout, value, named):
+    # Offsets count the magic, the header and the params before the field.
+    tree = _all_kinds_tree()
+    blob = serialize(tree)
+    size = struct.calcsize(layout)
+    bad = blob[:at] + struct.pack(layout, value) + blob[at + size :]
+    with pytest.raises(TreeError, match=named):
+        deserialize(bad, tree.dataset)
+
+
 def test_truncated_or_padded_blob_raises_tree_error():
     tree = _all_kinds_tree()
     blob = serialize(tree)
@@ -534,7 +550,7 @@ def test_mutated_tree_file_loads_or_raises_tree_error(name, data):
         mutated[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
     try:
         tree = deserialize(bytes(mutated), ds)
-    except (TreeError, ParamError):
+    except TreeError:
         return
     for q in queries:
         # Format v1 has no checksum, so a flipped byte of w loads as a smaller

@@ -10,12 +10,11 @@ from pmtree.pm_protocol import (
     pm_exec,
     pm_gap,
     pm_round_samples,
-    pm_special_advice,
     recursion_depth_cap,
     run_pm,
     unmatched_count,
 )
-from pmtree.sq_protocol import AdviceFeed, ProtocolError
+from pmtree.sq_protocol import AdviceFeed, ProtocolError, honest_advice
 
 
 def _all_patterns(d):
@@ -145,7 +144,7 @@ def test_advice_two_segments_on_recenter_path():
         x = pts[tape.draw_below(n)]
         stars = sorted({tape.draw_below(d) for _ in range(w)})
         y = TernaryPattern.from_point(x, stars)
-        adv = pm_special_advice(lam, x, y, RandomTape(trial, Stream.PUB), params)
+        adv = honest_advice(pm_exec, params, lam, x, y, RandomTape(trial, Stream.PUB))
         tr = run_pm(params, lam, x, y, None, Tapes.from_seed(trial))
         if any(m.label == "xi-found" for m in tr.messages) and not any(
             m.label == "size-small" or m.label == "size-ok" for m in tr.messages
@@ -155,6 +154,11 @@ def test_advice_two_segments_on_recenter_path():
             assert len(adv) >= 1
         if len(adv) == 2:
             seen_two = True
+            # An exhausted feed sends all ones, as wide as each honest segment
+            # (the public-cap width in the swapped reverse check).
+            starved = run_pm(params, lam, x, y, (), Tapes.from_seed(trial))
+            sent = [(m.value, m.nbits) for m in starved.messages if m.label == "advice"]
+            assert sent == [((1 << a.width) - 1, a.width) for a in adv]
         explicit = run_pm(params, lam, x, y, adv, Tapes.from_seed(trial))
         assert explicit.output == tr.output == 1
     assert seen_two
@@ -170,8 +174,8 @@ def test_advice_replay_determinism():
         x = pts[tape.draw_below(n)]
         stars = sorted({tape.draw_below(d) for _ in range(w)})
         y = TernaryPattern.from_point(BitVector(d, tape.draw_bits(d)), stars)
-        a1 = pm_special_advice(lam, x, y, RandomTape(trial, Stream.PUB), params)
-        a2 = pm_special_advice(lam, x, y, RandomTape(trial, Stream.PUB), params)
+        a1 = honest_advice(pm_exec, params, lam, x, y, RandomTape(trial, Stream.PUB))
+        a2 = honest_advice(pm_exec, params, lam, x, y, RandomTape(trial, Stream.PUB))
         assert a1 == a2
 
 

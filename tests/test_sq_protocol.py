@@ -5,7 +5,7 @@ import pytest
 from pmtree.bits import BitVector, Dataset
 from pmtree.dist import EmpiricalDistribution
 from pmtree.engine import ProtocolParams, RandomTape, Stream, Tapes, derive_params
-from pmtree.sq_protocol import ProtocolError, run_sq, sq_special_advice
+from pmtree.sq_protocol import ProtocolError, honest_advice, run_sq, sq_exec
 
 
 def _sparse_dataset(n, d, seed, target=None):
@@ -113,8 +113,8 @@ def test_special_advice_replay_is_deterministic():
         y = BitVector(d, tape.draw_bits(d))
         if y.popcount() > w:
             continue
-        a1 = sq_special_advice(lam, x, y, RandomTape(trial, Stream.PUB), params)
-        a2 = sq_special_advice(lam, x, y, RandomTape(trial, Stream.PUB), params)
+        a1 = honest_advice(sq_exec, params, lam, x, y, RandomTape(trial, Stream.PUB))
+        a2 = honest_advice(sq_exec, params, lam, x, y, RandomTape(trial, Stream.PUB))
         assert a1 == a2
         honest = run_sq(params, lam, x, y, None, Tapes.from_seed(trial))
         explicit = run_sq(params, lam, x, y, a1, Tapes.from_seed(trial))
@@ -129,7 +129,7 @@ def test_advice_empty_when_no_parity_stage_runs():
     params = derive_params(d, w, 0.25, 0.05, **LOOP_PARAMS)
     x = BitVector.from01("1111111000")  # over budget: early reject, no subroutine
     y = BitVector.from01("0000011000")
-    adv = sq_special_advice(lam, x, y, RandomTape(3, Stream.PUB), params)
+    adv = honest_advice(sq_exec, params, lam, x, y, RandomTape(3, Stream.PUB))
     assert adv == ()
 
 
