@@ -7,7 +7,7 @@ from .bits import (
     match_pm,
     subset_of,
 )
-from .dist import EMPTY_SUPPORT, EmpiricalDistribution, EmptySupport
+from .dist import EmpiricalDistribution
 from .engine import (
     Message,
     Player,
@@ -25,8 +25,6 @@ __all__ = [
     "TernaryPattern",
     "match_pm",
     "subset_of",
-    "EMPTY_SUPPORT",
-    "EmptySupport",
     "EmpiricalDistribution",
     "Message",
     "Player",

@@ -327,7 +327,7 @@ def crit_std_ceilings(quick: bool = False):
             for i in range(per_config):
                 x = lam.sample(tape)
                 yv = rho.sample(tape)
-                res = run_std(lam, rho, x, yv, seed=123, params=params)
+                res = run_std(lam, x, yv, seed=123, params=params)
                 total += 1
                 if res.a_bits > params.alice_budget() or res.b_bits > params.bob_budget():
                     return False, (

@@ -14,8 +14,7 @@ from .compiler import DEFAULT_NODE_CEILING, TreeError, load_tree, preprocess, qu
 from .disjointness import StdParams, fix_randomness, uniform_size_dataset
 from .dist import EmpiricalDistribution
 from .engine import ProtocolParams, RandomTape, Stream, Tapes, derive_params
-from .generators import gen_planted, gen_random_sq, nonmatching_pm_queries
-from .oracles import accept_rate
+from .generators import distinct_positions, gen_planted, gen_random_sq, nonmatching_pm_queries
 from .pm_protocol import run_pm
 from .presets import DESK_T_CAP, desk_params
 from .reports import Report, loglog_slope, mean, stderr_of_mean
@@ -179,33 +178,40 @@ def _cmd_sim(args) -> int:
             if x != ybar:
                 break
         adv = bp.BaseAdvice(bp.PM, fill, 2)
+        if args.trials < 1:
+            raise CliError("trials must be at least 1")
+        # Each run draws its parity vectors from the private tape it advances.
         tapes = Tapes.from_seed(args.seed + 1)
-        est = accept_rate(
-            lambda rng: bp.run_base(bp.PM, x, y, d, d, 2.0**-t, adv, tapes).output,
-            args.trials,
-            args.seed,
-        )
-        report.add_row(t=t, accept_rate=est.mean, stderr=est.stderr, target=2.0**-t)
-        report.aggregates = {"accept_rate": est.mean, "target": 2.0**-t, "stderr": est.stderr}
-        _say(args, f"base accept rate: {est.mean:.5f} +/- {est.stderr:.5f} (target {2.0**-t:.5f})")
+        runs = (bp.run_base(bp.PM, x, y, d, d, 2.0**-t, adv, tapes) for _ in range(args.trials))
+        rate = sum(tr.output for tr in runs) / args.trials
+        stderr = (rate * (1.0 - rate) / args.trials) ** 0.5
+        report.add_row(t=t, accept_rate=rate, stderr=stderr, target=2.0**-t)
+        report.aggregates = {"accept_rate": rate, "target": 2.0**-t, "stderr": stderr}
+        _say(args, f"base accept rate: {rate:.5f} +/- {stderr:.5f} (target {2.0**-t:.5f})")
     elif args.protocol in ("sq", "pm"):
         d = args.d
         params = _params_from_args(args, args.n, d, default_w=max(2, d // 8))
         tape = RandomTape(args.seed, Stream.PUB)
-        pts = tuple(BitVector(d, tape.draw_bits(d) & tape.draw_bits(d)) for _ in range(args.n))
+        k = int(params.w)
+        if args.protocol == "sq":
+            # 1 to k ones, so that every point fits the budget.
+            sizes = (1 + tape.draw_below(k) for _ in range(args.n))
+            pts = tuple(BitVector.from_ones(d, distinct_positions(tape, d, s)) for s in sizes)
+        else:
+            pts = tuple(BitVector(d, tape.draw_bits(d) & tape.draw_bits(d)) for _ in range(args.n))
         lam = EmpiricalDistribution(Dataset(d, pts))
         fp = fn = pos = neg = 0
         max_ca = max_cb = max_cm = 0
         for i in range(args.trials):
             x = pts[tape.draw_below(args.n)]
             if args.protocol == "sq":
-                yq = BitVector(d, tape.draw_bits(d) & tape.draw_bits(d))
-                if yq.popcount() > params.w:
-                    continue
+                # At most k ones; half the queries hold x.
+                held = x if tape.draw_bits(1) else BitVector(d, 0)
+                yq = held | BitVector.from_ones(d, distinct_positions(tape, d, k - held.popcount()))
                 truth = x.subset_of(yq)
                 tr = run_sq(params, lam, x, yq, None, Tapes.from_seed(args.seed + 10 + i))
             else:
-                stars = sorted(tape.draw_below(d) for _ in range(int(params.w)))
+                stars = sorted(tape.draw_below(d) for _ in range(k))
                 stars = list(dict.fromkeys(stars))
                 yq = TernaryPattern.from_point(BitVector(d, tape.draw_bits(d)), stars)
                 truth = yq.matches(x)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from . import base_protocol as bp
 from .bits import BitVector, Dataset, TernaryPattern, match_pm, subset_of
@@ -204,8 +204,6 @@ def preprocess(
         raise ValueError("dataset must be nonempty")
     if protocol not in (PM_PROTOCOL, SQ_PROTOCOL):
         raise ValueError(f"unknown protocol {protocol!r}")
-    if params.d != dataset.dim:
-        params = replace(params, d=dataset.dim)
     dist = EmpiricalDistribution(dataset)
     budget = _Budget(node_ceiling)
     ctx = _Ctx(dist, Tapes.from_seed(seed), budget)
@@ -413,7 +411,7 @@ def _build_halving(
         else:
             sub_ctx = none_ctx.fork(none_ctx.dist.restrict_dist(keep))
             shrunk = [(i, x.restrict(keep)) for i, x in cohort]
-            sub = recurse(sub_ctx, halved_params(params, keep.popcount(), w_cur), shrunk, cont)
+            sub = recurse(sub_ctx, halved_params(params, w_cur), shrunk, cont)
         if sub is not None:
             j_children[(jw, j)] = sub
     jnode = _emit(none_ctx, BobNode, prefix + "-half-index", j_children)
@@ -522,9 +520,7 @@ def _walk_final(walk: _Walk, node) -> None:
     walk.scan(node)
 
 
-def _walk_base(walk: _Walk, node, y_cur, z: float, w: float, mode: str, swapped: bool, cont) -> None:
-    if z > w:
-        return
+def _walk_base(walk: _Walk, node, y_cur, z: float, mode: str, swapped: bool, cont) -> None:
     if not swapped:
         if not isinstance(node, MerlinDeferred):
             raise TreeError("expected a deferred advice edge")
@@ -704,7 +700,7 @@ def _walk_sq_iter(
 
     small = _step(walk, node, (STATUS_WIDTH, SMALL))
     if small is not None:
-        _walk_base(walk, small, y_cur, sq_small_size(params), params.w, bp.SQ, False, cont)
+        _walk_base(walk, small, y_cur, sq_small_size(params), bp.SQ, False, cont)
 
     big = _step(walk, node, (STATUS_WIDTH, BIG))
     if big is None:
@@ -789,13 +785,13 @@ def _walk_halving(
     if keep.popcount() == 0:
         cont(walk, child)
         return
-    recurse(walk, child, halved_params(params, keep.popcount(), w_cur), y.restrict(keep), cont)
+    recurse(walk, child, halved_params(params, w_cur), y.restrict(keep), cont)
 
 
 def _walk_pm(walk: _Walk, node, params: ProtocolParams, y: TernaryPattern, cont) -> None:
     w = params.w
     if params.is_base_case():
-        _walk_base(walk, node, y, w, w, bp.PM, False, cont)
+        _walk_base(walk, node, y, w, bp.PM, False, cont)
         return
 
     h = pm_gap(params)
@@ -809,7 +805,7 @@ def _walk_pm(walk: _Walk, node, params: ProtocolParams, y: TernaryPattern, cont)
         hits = y_shift.ones_vector()
 
         def cont_reverse(walk2: _Walk, node2) -> None:
-            _walk_base(walk2, node2, hits, h, sub_sq.w, bp.SQ, True, cont)
+            _walk_base(walk2, node2, hits, h, bp.SQ, True, cont)
 
         return (index_width(pm_round_samples(params)), istar), lambda onward: _walk_sq(
             walk, onward, sub_sq, y_shift.star_vector() | hits, cont_reverse
@@ -891,7 +887,7 @@ _TOO_DEEP = f"tree nodes nest deeper than {MAX_TREE_DEPTH} levels"
 
 # Fixed-size parts of the file. Every node starts with its kind byte.
 _HEADER = struct.Struct("<HBQ")  # format version, protocol code, seed
-# d, w, eps, delta, t_cap, base_factor, then the node, leaf and candidate counts
+# dataset dim, w, eps, delta, t_cap, base_factor, then node, leaf and candidate counts
 _PARAMS = struct.Struct("<IdddqdQQQ")
 _COUNT = struct.Struct("<I")
 _BRANCH = struct.Struct("<II")
@@ -905,17 +901,16 @@ _NODE_HEADERS = {
 }
 
 
-def _stored_params(d, w, eps, delta, t_cap, base_factor) -> ProtocolParams:
-    """The params a tree reloads with: format v1 keeps only these six fields."""
-    return ProtocolParams(
-        d=d, w=w, eps=eps, delta=delta, t_cap=None if t_cap < 0 else t_cap, base_factor=base_factor
-    )
+def _stored_params(w, eps, delta, t_cap, base_factor) -> ProtocolParams:
+    """The params a tree reloads with: format v1 keeps only these five fields."""
+    t_cap = None if t_cap < 0 else t_cap
+    return ProtocolParams(w=w, eps=eps, delta=delta, t_cap=t_cap, base_factor=base_factor)
 
 
 def serialize(tree: ProtocolTree) -> bytes:
     m = tree.meta
     p = m.params
-    stored = (p.d, p.w, p.eps, p.delta, -1 if p.t_cap is None else p.t_cap, p.base_factor)
+    stored = (p.w, p.eps, p.delta, -1 if p.t_cap is None else p.t_cap, p.base_factor)
     reloaded = _stored_params(*stored)
     if reloaded != p:
         lost = [f.name for f in fields(p) if getattr(p, f.name) != getattr(reloaded, f.name)]
@@ -936,7 +931,7 @@ def serialize(tree: ProtocolTree) -> bytes:
     return b"".join([
         MAGIC,
         _HEADER.pack(FORMAT_VERSION, 1 if m.protocol == PM_PROTOCOL else 2, m.seed),
-        _PARAMS.pack(*stored, m.node_count, m.leaf_count, m.candidate_total),
+        _PARAMS.pack(tree.dataset.dim, *stored, m.node_count, m.leaf_count, m.candidate_total),
         m.fingerprint,
         _COUNT.pack(len(table)),
         *table,
@@ -1085,7 +1080,7 @@ def deserialize(data: bytes, dataset: Dataset) -> ProtocolTree:
         raise TreeError(f"unsupported format version {version}")
     if proto_code not in (1, 2):
         raise TreeError(f"bad protocol code {proto_code}")
-    *stored, node_count, leaf_count, cand_total = r.unpack(_PARAMS, "params")
+    dim, *stored, node_count, leaf_count, cand_total = r.unpack(_PARAMS, "params")
     try:
         params = _stored_params(*stored)
     except ParamError as exc:
@@ -1093,6 +1088,8 @@ def deserialize(data: bytes, dataset: Dataset) -> ProtocolTree:
     fingerprint = r.take(32, "dataset fingerprint")
     if fingerprint != dataset.fingerprint():
         raise TreeError("tree was built over a different dataset")
+    if dim != dataset.dim:
+        raise TreeError(f"tree file stores dimension {dim}, but the dataset has {dataset.dim}")
     (nbranch,) = r.unpack(_COUNT, "branching table")
     r.take(_BRANCH.size * nbranch, "branching table")
     root = r.node() if r.take(1, "root flag")[0] else None

@@ -59,12 +59,7 @@ class StdRunResult:
 
 
 def run_std(
-    lam: EmpiricalDistribution,
-    rho: EmpiricalDistribution,
-    x: BitVector,
-    y: BitVector,
-    seed: int,
-    params: StdParams,
+    lam: EmpiricalDistribution, x: BitVector, y: BitVector, seed: int, params: StdParams
 ) -> StdRunResult:
     """One deterministic-given-seed run deciding whether x and y intersect."""
     d = params.d
@@ -125,7 +120,7 @@ def _wrong_verdicts(
     for _ in range(trials):
         x, y = lam.sample(tape), rho.sample(tape)
         truth = 0 if x.intersects(y) else 1
-        wrong += run_std(lam, rho, x, y, seed, params).output != truth
+        wrong += run_std(lam, x, y, seed, params).output != truth
     return wrong
 
 

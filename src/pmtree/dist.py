@@ -6,29 +6,15 @@ only the domain shrinks. A coordinate subset is a mask (see bits), and the
 domain is kept as a mask over the dataset dimension. An optional XOR shift is
 applied after projection; it is how the partial-match protocol hands the
 re-centered point distribution to its subset-query subroutine.
+
+A size-conditioned draw that no point qualifies for returns None. A run's only
+dimension is its domain's size, dim: ProtocolParams holds none.
 """
 
 from __future__ import annotations
 
 from .bits import BitVector, Dataset
 from .engine import RandomTape
-
-
-class EmptySupport:
-    """Out-of-band result for a size-conditioned draw with no qualifying point."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "EMPTY_SUPPORT"
-
-
-EMPTY_SUPPORT = EmptySupport()
 
 
 class EmpiricalDistribution:
@@ -78,11 +64,9 @@ class EmpiricalDistribution:
             self._buckets = buckets
         return self._buckets
 
-    def sample_size_conditioned(self, lo: float, hi: float, rng: RandomTape):
-        """Uniform over points whose projected popcount s has lo < s <= hi.
-
-        Returns EMPTY_SUPPORT (no tape tick) when nothing qualifies.
-        """
+    def sample_size_conditioned(self, lo: float, hi: float, rng: RandomTape) -> BitVector | None:
+        """Uniform over points whose projected popcount s has lo < s <= hi;
+        None, without a tape tick, when nothing qualifies."""
         qualifying = self._qual_cache.get((lo, hi))
         if qualifying is None:
             buckets = self._popcount_buckets()
@@ -91,7 +75,7 @@ class EmpiricalDistribution:
             ]
             self._qual_cache[(lo, hi)] = qualifying
         if not qualifying:
-            return EMPTY_SUPPORT
+            return None
         pos = qualifying[rng.draw_below(len(qualifying))]
         return self._projections()[pos]
 

@@ -212,14 +212,14 @@ class ParamError(ValueError):
 class ProtocolParams:
     """Shared parameter bundle for the subset-query and partial-match protocols.
 
-    Derived quantities follow the protocol headers with base-2 logs; h has an
-    override hook so experiments can pin it directly. t_cap bounds the
-    per-round sample count at desk scale; base_factor scales the threshold that
-    routes small sparsity budgets to the base-case protocol (100 is the genuine
-    value, tests shrink it to force the iterative path).
+    It holds no dimension: no protocol rule reads one, and a run's domain is
+    its distribution's. Derived quantities follow the protocol headers with
+    base-2 logs; h has an override hook so experiments can pin it directly.
+    t_cap bounds the per-round sample count at desk scale; base_factor scales
+    the threshold that routes small sparsity budgets to the base-case protocol
+    (100 is the genuine value, tests shrink it to force the iterative path).
     """
 
-    d: int
     w: float
     eps: float
     delta: float
@@ -228,8 +228,6 @@ class ProtocolParams:
     h_override: float | None = None
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ParamError("dimension must be at least 1")
         if not 1 <= self.w:
             raise ParamError("sparsity budget must be at least 1")
         if not 0 < self.delta <= self.eps < 0.5:
@@ -290,7 +288,7 @@ def derive_params(
     if not 1 <= w <= d:
         raise ParamError("need 1 <= w <= d")
     return ProtocolParams(
-        d=d, w=w, eps=eps, delta=delta, t_cap=t_cap, base_factor=base_factor, **overrides
+        w=w, eps=eps, delta=delta, t_cap=t_cap, base_factor=base_factor, **overrides
     )
 
 

@@ -1,4 +1,4 @@
-"""Ground-truth matchers and the Monte-Carlo rate estimator.
+"""Ground-truth matchers and the Monte-Carlo rate estimate.
 
 Deliberately naive O(n*d) scans built only on the core predicates; these stay
 independent of every protocol and compiler code path so they can judge them.
@@ -6,11 +6,9 @@ independent of every protocol and compiler code path so they can judge them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .bits import BitVector, Dataset, TernaryPattern, match_pm, subset_of
-from .engine import RandomTape, Stream
 
 
 def brute_force_pm(dataset: Dataset, y: TernaryPattern) -> set[int]:
@@ -36,15 +34,3 @@ class RateEstimate:
 
     def at_most(self, bound: float, sigmas: float = 3.0) -> bool:
         return self.mean <= bound + sigmas * self.stderr
-
-
-def accept_rate(run, trials: int, seed: int) -> RateEstimate:
-    """Unbiased accept-rate estimate for a 0/1 closure run(trial_rng)."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    rng = RandomTape(seed, Stream.PUB)
-    hits = 0
-    for _ in range(trials):
-        hits += 1 if run(rng) else 0
-    p = hits / trials
-    return RateEstimate(p, math.sqrt(p * (1.0 - p) / trials), trials)

@@ -26,7 +26,7 @@ from .base_protocol import (
     unrank_subset,
 )
 from .bits import BitVector
-from .dist import EMPTY_SUPPORT, EmpiricalDistribution
+from .dist import EmpiricalDistribution
 from .engine import (
     BIG,
     CONTINUE,
@@ -229,7 +229,7 @@ def halving_exec(
     keep = halves[jstar]
     if keep.popcount() == 0:
         return 1
-    sub = halved_params(params, keep.popcount(), w_cur)
+    sub = halved_params(params, w_cur)
     return recurse(sub, dist.restrict_dist(keep), x.restrict(keep), y.restrict(keep))
 
 
@@ -240,11 +240,11 @@ def pick_half(halves, mask: int, w_cur: float) -> int | None:
     return next((j for j, s in enumerate(halves) if (mask & s.value).bit_count() <= limit), None)
 
 
-def halved_params(params: ProtocolParams, d: int, w_cur: float) -> ProtocolParams:
-    """Parameters of the sub-problem on a kept halving set of d coordinates."""
-    return replace(
-        params, d=d, w=max(1.0, 2.0 * w_cur / 3.0), eps=params.eps / 2.0, delta=params.delta_prime
-    )
+def halved_params(params: ProtocolParams, w_cur: float) -> ProtocolParams:
+    """Parameters of the sub-problem on a kept halving set: the set holds at
+    most 2 w_cur / 3 of the query's coordinates, at half the error."""
+    w = max(1.0, 2.0 * w_cur / 3.0)
+    return replace(params, w=w, eps=params.eps / 2.0, delta=params.delta_prime)
 
 
 def near_subset_index(batch, y: BitVector, h: float) -> int | None:
@@ -265,6 +265,6 @@ def draw_conditioned_batch(
     """t size-conditioned samples from the public tape, or None when nothing
     qualifies."""
     first = dist.sample_size_conditioned(lo, hi, pub)
-    if first is EMPTY_SUPPORT:
+    if first is None:
         return None
     return [first] + [dist.sample_size_conditioned(lo, hi, pub) for _ in range(t - 1)]

@@ -119,6 +119,15 @@ def test_input_errors_exit_1_without_traceback(tmp_path, capsys):
     assert "nest deeper" in capsys.readouterr().err
 
 
+def test_sim_sq_runs_every_trial_and_sees_both_answers(capsys):
+    # The default budget is w = d // 8 = 4: every drawn point and query fits it.
+    assert main(["sim", "--protocol", "sq", "--trials", "200", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["positives"] > 0 and row["negatives"] > 0
+    assert row["positives"] + row["negatives"] == 200
+    assert row["false_neg"] == 0
+
+
 def test_verify_one_criterion():
     assert main(["verify", "--only", "10", "--quick"]) == 0
 

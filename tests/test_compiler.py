@@ -1,11 +1,13 @@
 import functools
 import math
 import struct
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from pmtree import compiler
 from pmtree.base_protocol import (
     advice_width,
     decode,
@@ -121,6 +123,51 @@ def test_forced_loop_pm_tree_exact():
     for _ in range(250):
         q = random_pattern_query(10, 6, tape)
         assert query(tree, q).matches == frozenset(brute_force_pm(ds, q))
+
+
+def _count_none(monkeypatch, name) -> Counter:
+    """Wrap compiler.<name>; the counter tallies its results by `is None`."""
+    original, tally = getattr(compiler, name), Counter()
+
+    def counted(*args):
+        out = original(*args)
+        tally[out is None] += 1
+        return out
+
+    monkeypatch.setattr(compiler, name, counted)
+    return tally
+
+
+def _planted_or_random(ds, w, tape, i):
+    """A random pattern with w stars; on even i, a dataset point's bits off the stars."""
+    q = random_pattern_query(ds.dim, w, tape)
+    if i % 2:
+        return q
+    x = ds.points[tape.draw_below(ds.n)]
+    return TernaryPattern(ds.dim, q.stars, x.value & ~q.stars)
+
+
+# h = 0.5 admits only samples that agree with the query off its stars, so most
+# queries take the halving step. The first tree has star positions that every
+# drawn set holds; queries starred there take the accept branch. The trees stay
+# in memory, as format v1 cannot store h_override.
+@pytest.mark.parametrize("d, w, n, eps, delta, extra, accepts", [
+    (12, 1, 16, 0.45, 0.45, {"t_cap": 2, "base_factor": 0.5}, True),
+    (16, 6, 24, 0.25, 0.05, {"t_cap": 3, "base_factor": 1.0}, False),
+])
+def test_pm_halving_step_walks_exact(monkeypatch, d, w, n, eps, delta, extra, accepts):
+    ds = _random_dataset(n, d, seed=1)
+    params = derive_params(d, w, eps, delta, h_override=0.5, **extra)
+    tree = preprocess(ds, "pm", params, seed=0, node_ceiling=1 << 22)
+    near = _count_none(monkeypatch, "near_match_index")
+    half = _count_none(monkeypatch, "pick_half")
+    tape = RandomTape(5, Stream.PUB)
+    for i in range(100):
+        q = _planted_or_random(ds, w, tape, i)
+        assert query(tree, q).matches == frozenset(brute_force_pm(ds, q))
+    assert near[True] > 0  # no near sample
+    assert half[False] > 0  # a kept set's sub-tree
+    assert (half[True] > 0) == accepts  # no set holds few enough stars
 
 
 def test_forced_loop_sq_tree_exact_all_branches():
@@ -313,6 +360,7 @@ def test_serialize_refuses_params_it_cannot_store():
 
 
 @pytest.mark.parametrize("at, layout, value, named", [
+    (19, "<I", 5, "dimension"),  # the dataset dimension, 8 here
     (23, "<d", 0.5, "sparsity budget"),  # w
     (39, "<d", 0.0, "0 < delta"),  # delta
     (47, "<q", 0, "t_cap must be at least 1"),  # t_cap

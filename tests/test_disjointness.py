@@ -27,10 +27,9 @@ def test_intersecting_pairs_never_declared_disjoint_exhaustive():
     params = StdParams(d, 2, 0.2)
     pts = tuple(BitVector(d, v) for v in range(1, 1 << d, 3))
     lam = EmpiricalDistribution(Dataset(d, pts))
-    rho = lam
     for x in pts:
         for y in pts:
-            res = run_std(lam, rho, x, y, seed=9, params=params)
+            res = run_std(lam, x, y, seed=9, params=params)
             if x.intersects(y):
                 assert res.output == 0
             # declared disjoint must always be correct
@@ -47,7 +46,7 @@ def test_bit_ceilings_hold_on_every_run():
         tape = RandomTape(3, Stream.PUB)
         for i in range(800):
             x, y = lam.sample(tape), rho.sample(tape)
-            res = run_std(lam, rho, x, y, seed=31 + i % 4, params=params)
+            res = run_std(lam, x, y, seed=31 + i % 4, params=params)
             assert res.a_bits <= params.alice_budget()
             assert res.b_bits <= params.bob_budget()
             assert 1 <= res.rounds <= params.ell
@@ -62,7 +61,7 @@ def test_small_set_short_circuits_exactly():
     tape = RandomTape(6, Stream.PUB)
     for i in range(500):
         x, y = lam.sample(tape), rho.sample(tape)
-        res = run_std(lam, rho, x, y, seed=7, params=params)
+        res = run_std(lam, x, y, seed=7, params=params)
         assert res.rounds == 1
         assert res.output == (0 if x.intersects(y) else 1)
 
@@ -76,7 +75,7 @@ def test_type_two_error_within_budget():
     trials, wrong = 3000, 0
     for i in range(trials):
         x, y = lam.sample(tape), rho.sample(tape)
-        res = run_std(lam, rho, x, y, seed=11, params=params)
+        res = run_std(lam, x, y, seed=11, params=params)
         truth = 0 if x.intersects(y) else 1
         if res.output != truth:
             wrong += 1

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import chisquare
 
 from pmtree.bits import BitVector, Dataset
-from pmtree.dist import EMPTY_SUPPORT, EmpiricalDistribution
+from pmtree.dist import EmpiricalDistribution
 from pmtree.engine import RandomTape, Stream
 
 
@@ -45,7 +45,7 @@ def test_size_conditioned_examples():
     assert all(
         dist.sample_size_conditioned(2, 4, tape).to01() == "1110" for _ in range(10)
     )
-    assert dist.sample_size_conditioned(5, 9, tape) is EMPTY_SUPPORT
+    assert dist.sample_size_conditioned(5, 9, tape) is None
 
 
 def test_size_conditioned_respects_window():

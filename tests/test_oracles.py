@@ -1,7 +1,5 @@
-import math
-
 from pmtree.bits import BitVector, Dataset, TernaryPattern
-from pmtree.oracles import RateEstimate, accept_rate, brute_force_pm, brute_force_sq
+from pmtree.oracles import RateEstimate, brute_force_pm, brute_force_sq
 
 
 def _dataset(*rows):
@@ -21,17 +19,6 @@ def test_brute_force_sq():
     assert brute_force_sq(ds, BitVector.from01("0011")) == {1, 2}
     assert brute_force_sq(ds, BitVector.from01("1111")) == {0, 1, 2}
     assert brute_force_sq(ds, BitVector.from01("0100")) == set()
-
-
-def test_accept_rate_constant():
-    est = accept_rate(lambda rng: 1, 500, seed=1)
-    assert est.mean == 1.0 and est.stderr == 0.0
-
-
-def test_accept_rate_fair_coin():
-    est = accept_rate(lambda rng: rng.draw_bits(1), 10_000, seed=2)
-    assert est.within(0.5)
-    assert math.isclose(est.stderr, math.sqrt(est.mean * (1 - est.mean) / 10_000))
 
 
 def test_rate_estimate_bounds():

@@ -6,6 +6,8 @@ import pytest
 from pmtree.bits import BitVector, Dataset, TernaryPattern, match_pm
 from pmtree.dist import EmpiricalDistribution
 from pmtree.engine import RandomTape, Stream, Tapes, Transcript, derive_params
+from pmtree.generators import random_pattern_query
+from pmtree.oracles import brute_force_pm
 from pmtree.pm_protocol import (
     pm_exec,
     pm_gap,
@@ -131,6 +133,30 @@ def test_heavy_shift_rejects():
     tr = run_pm(params, lam, x, y, None, Tapes.from_seed(2))
     assert tr.output == 0
     assert any(m.label == "shift-too-heavy" for m in tr.messages)
+
+
+def test_halving_none_accepts_and_matches_are_never_rejected():
+    # h = 0.5 sends most runs to the halving step; with one star, all five
+    # drawn sets hold it in about one run in 32, and the run accepts.
+    d, n, w = 12, 16, 1
+    tape = RandomTape(1, Stream.PUB)
+    ds = Dataset(d, tuple(BitVector(d, tape.draw_bits(d)) for _ in range(n)))
+    lam = EmpiricalDistribution(ds)
+    params = derive_params(d, w, 0.45, 0.45, t_cap=2, base_factor=0.5, h_override=0.5)
+    tape = RandomTape(9, Stream.PUB)
+    nones = 0
+    for i in range(300):
+        k = tape.draw_below(n)
+        y = random_pattern_query(d, w, tape)
+        if i % 2 == 0:
+            y = TernaryPattern(d, y.stars, ds.points[k].value & ~y.stars)
+        tr = run_pm(params, lam, ds.points[k], y, None, Tapes.from_seed(i))
+        if any(m.label == "halving-none" for m in tr.messages):
+            nones += 1
+            assert tr.output == 1
+        if k in brute_force_pm(ds, y):
+            assert tr.output == 1
+    assert nones > 0
 
 
 def test_advice_two_segments_on_recenter_path():
