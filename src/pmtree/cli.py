@@ -213,7 +213,9 @@ def _cmd_sim(args) -> int:
             else:
                 stars = sorted(tape.draw_below(d) for _ in range(k))
                 stars = list(dict.fromkeys(stars))
-                yq = TernaryPattern.from_point(BitVector(d, tape.draw_bits(d)), stars)
+                # Half the patterns are cut out of x.
+                cut = x if tape.draw_bits(1) else BitVector(d, tape.draw_bits(d))
+                yq = TernaryPattern.from_point(cut, stars)
                 truth = yq.matches(x)
                 tr = run_pm(params, lam, x, yq, None, Tapes.from_seed(args.seed + 10 + i))
             if truth:

@@ -30,6 +30,9 @@ import io
 import math
 import struct
 from dataclasses import dataclass, fields
+from functools import reduce
+from itertools import combinations
+from operator import xor
 
 from . import base_protocol as bp
 from .bits import BitVector, Dataset, TernaryPattern, match_pm, subset_of
@@ -258,6 +261,11 @@ def _build_base(
 ):
     """Parity-check stage. cohort carries the point-side data (the value each
     point compares, or in swapped wiring the data the advice decodes against).
+
+    The swapped wiring groups each advice value's cohort by the parity of the
+    subset that value decodes to. parity_vector is GF(2)-linear in its vector,
+    so that parity is the XOR of the subset's parity columns: _rank_parities
+    tabulates it per point and rank once per stage, with no decode per value.
     """
     if not cohort:
         return None
@@ -278,22 +286,38 @@ def _build_base(
     zmax = math.floor(z)
     cap = math.floor(w)
     width = bp.sq_advice_width(cap, zmax)
-    universe: set[int] = set()
     for _, recon_base in cohort:
         count = bp.subset_count(recon_base.popcount(), zmax)
         if count > _SUBSET_ENUM_LIMIT:
             raise TreeSizeError(ctx.budget.nodes + count, ctx.budget.ceiling)
-        universe.update(range(count))
+    tables = _rank_parities(rs, [recon_base for _, recon_base in cohort], zmax)
     merlin_children: dict[tuple[int, int], object] = {}
-    for m in sorted(universe):
+    for m, parities in enumerate(zip(*tables)):
         groups = {}
-        for idx, recon_base in cohort:
-            recon = bp.decode(bp.SQ, recon_base, m, zmax)
-            groups.setdefault(bp.parity_vector(recon, rs), []).append((idx, recon_base))
+        for point, b in zip(cohort, parities):
+            groups.setdefault(b, []).append(point)
         carol = _build_parities(ctx, d, rs, groups, BobNode, AliceNode, cont)
         if carol is not None:
             merlin_children[(width, m)] = carol
     return _emit(ctx, MerlinExplicit, bp.SQ, z, w, merlin_children)
+
+
+def _rank_parities(rs, bases: list[BitVector], zmax: int) -> list[list[int]]:
+    """Per base, parity_vector(decode(SQ, base, m, zmax), rs) at every rank m
+    below the largest subset count among the bases. Ranks run as unrank_subset
+    orders them: size 0 first, then each size in lexicographic order, as
+    combinations yields them. Past a base's own count a rank decodes to the
+    sentinel, whose parity is computed once."""
+    tables = []
+    for base in bases:
+        cols = _parity_columns(rs, base.ones())
+        table: list[int] = []
+        for k in range(min(zmax, len(cols)) + 1):
+            table.extend(reduce(xor, subset, 0) for subset in combinations(cols, k))
+        tables.append(table)
+    ranks = max(map(len, tables))
+    sentinel = bp.parity_vector(bp.decode_failed_sentinel(bases[0].dim), rs)
+    return [table + [sentinel] * (ranks - len(table)) for table in tables]
 
 
 def _build_parities(ctx: _Ctx, d: int, rs, groups: dict[int, Cohort], point_cls, recon_cls, cont):

@@ -157,7 +157,12 @@ class RandomTape:
         self._base = _mix64(self.seed ^ (0xD6E8FEB86659FD93 if stream is Stream.PRI else 0))
 
     def clone(self) -> "RandomTape":
-        return RandomTape(self.seed, self.stream, self.counter)
+        # Copies the mixed seed rather than deriving it again in __init__.
+        twin = object.__new__(RandomTape)
+        twin.seed, twin.stream, twin.counter, twin._base = (
+            self.seed, self.stream, self.counter, self._base
+        )
+        return twin
 
     def _block(self, counter: int, j: int) -> int:
         return _mix64(_mix64((self._base + (counter + 1) * _GOLDEN + j) & _MASK64))

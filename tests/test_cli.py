@@ -128,6 +128,15 @@ def test_sim_sq_runs_every_trial_and_sees_both_answers(capsys):
     assert row["false_neg"] == 0
 
 
+def test_sim_pm_runs_every_trial_and_sees_both_answers(capsys):
+    # Half the patterns are cut out of the drawn point, so they match it.
+    assert main(["sim", "--protocol", "pm", "--trials", "200", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["positives"] > 0 and row["negatives"] > 0
+    assert row["positives"] + row["negatives"] == 200
+    assert row["false_neg"] == 0
+
+
 def test_verify_one_criterion():
     assert main(["verify", "--only", "10", "--quick"]) == 0
 

@@ -31,6 +31,7 @@ from pmtree.compiler import (
     _SITE_CODE,
     _SUBSET_ENUM_LIMIT,
     _coset,
+    _rank_parities,
     _reachable_parities,
     _recon_reachability,
     _span_basis,
@@ -528,11 +529,56 @@ def test_reachability_accepts_every_bucket_past_the_closure_guard():
     assert all(reachable(tape.draw_bits(14)) for _ in range(100))
 
 
+def _assert_rank_parities_decode(rs, bases, zmax):
+    """_rank_parities against one decode and one parity per (base, rank);
+    returns how many ranks lay past their base's subset count."""
+    tables = _rank_parities(rs, bases, zmax)
+    counts = [subset_count(base.popcount(), zmax) for base in bases]
+    assert [len(table) for table in tables] == [max(counts)] * len(bases)
+    for base, table in zip(bases, tables):
+        assert table == [parity_vector(decode("sq", base, m, zmax), rs) for m in range(len(table))]
+    return sum(max(counts) - count for count in counts)
+
+
+def test_rank_parities_equal_the_parities_of_the_decoded_subsets():
+    tape = RandomTape(41, Stream.PUB)
+    past = 0
+    for _ in range(150):
+        d = 1 + tape.draw_below(12)
+        rs = _random_vectors(tape, 1 + tape.draw_below(8), d)
+        bases = [
+            BitVector.from_ones(d, distinct_positions(tape, d, tape.draw_below(d + 1)))
+            for _ in range(1 + tape.draw_below(4))
+        ]
+        most = max(base.popcount() for base in bases)
+        for zmax in {0, tape.draw_below(most + 1), most, most + 2}:
+            past += _assert_rank_parities_decode(rs, bases, zmax)
+    assert past > 1000
+    # The empty base: the empty subset at rank 0, the sentinel past it.
+    rs = _random_vectors(tape, 5, 9)
+    base = BitVector(9, 0)
+    assert _assert_rank_parities_decode(rs, [base], 3) == 0
+    assert _assert_rank_parities_decode(rs, [base, BitVector(9, 0b1011)], 2) == 6
+    assert _rank_parities(rs, [base, BitVector(9, 0b1011)], 2)[0][1:] == [
+        parity_vector(decode_failed_sentinel(9), rs)
+    ] * 6
+
+
 def _pm_loop_tree():
     # The PM forced-loop tree of the pinned digests.
     ds = _random_dataset(10, 10, seed=11, sparse=True)
     params = derive_params(10, 6, 0.25, 0.05, t_cap=3, base_factor=1.0)
     return preprocess(ds, "pm", params, seed=33, node_ceiling=1 << 22)
+
+
+def test_pm_loop_build_decodes_no_advice_value(monkeypatch):
+    # The swapped stage reads each advice value's parities from per-rank
+    # tables; a decode per (point, advice value) must not come back.
+    calls = []
+    monkeypatch.setattr(compiler.bp, "decode", lambda *a: calls.append(a) or decode(*a))
+    tree = _pm_loop_tree()
+    assert any(isinstance(node, MerlinExplicit) for node in _nodes(tree.root))
+    assert calls == []
 
 
 def _nodes(root):

@@ -154,3 +154,37 @@ def test_tapes_clone_independent():
     assert c.pub.counter == tapes.pub.counter
     c.pub.draw_bits(8)
     assert c.pub.counter == tapes.pub.counter + 1
+
+
+@pytest.mark.parametrize("stream", list(Stream))
+def test_tape_clone_draws_as_a_fresh_tape_and_moves_alone(stream):
+    tape = RandomTape(2**64 + 17, stream)
+    tape.draw_bits(8)
+    tape.draw_bits(100)
+    twin = tape.clone()
+    assert (twin.seed, twin.stream, twin.counter) == (tape.seed, tape.stream, 2)
+    fresh = RandomTape(tape.seed, stream, 2)
+    assert [twin.draw_bits(70) for _ in range(5)] == [fresh.draw_bits(70) for _ in range(5)]
+    # Advancing the clone left the original where it was, and the reverse.
+    assert tape.counter == 2
+    assert tape.draw_bits(70) == RandomTape(tape.seed, stream, 2).draw_bits(70)
+    assert twin.counter == 7
+    assert twin.draw_below(1000) == RandomTape(tape.seed, stream, 7).draw_below(1000)
+
+
+def test_tapes_clone_draws_as_fresh_tapes_and_moves_alone():
+    tapes = Tapes.from_seed(9)
+    tapes.pub.draw_bits(8)
+    tapes.pri.draw_vector(40)
+    tapes.pri.draw_vector(40)
+    twin = tapes.clone()
+    fresh = Tapes(RandomTape(9, Stream.PUB, 1), RandomTape(9, Stream.PRI, 2))
+    pub = [twin.pub.draw_bits(16) for _ in range(3)]
+    pri = [twin.pri.draw_bits(16) for _ in range(3)]
+    assert pub == [fresh.pub.draw_bits(16) for _ in range(3)]
+    assert pri == [fresh.pri.draw_bits(16) for _ in range(3)]
+    # Advancing the clone left the original where it was, and the reverse.
+    assert (tapes.pub.counter, tapes.pri.counter) == (1, 2)
+    assert tapes.pub.draw_bits(16) == pub[0]
+    assert tapes.pri.draw_bits(16) == pri[0]
+    assert (twin.pub.counter, twin.pri.counter) == (4, 5)
