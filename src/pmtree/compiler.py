@@ -31,7 +31,7 @@ import math
 import struct
 from dataclasses import dataclass, fields
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import xor
 
 from . import base_protocol as bp
@@ -210,7 +210,7 @@ def preprocess(
     dist = EmpiricalDistribution(dataset)
     budget = _Budget(node_ceiling)
     ctx = _Ctx(dist, Tapes.from_seed(seed), budget)
-    cohort: Cohort = [(i, p) for i, p in enumerate(dataset.points)]
+    cohort: Cohort = list(enumerate(dataset.points))
     if protocol == PM_PROTOCOL:
         root = _build_pm(ctx, params, cohort, _leaf_maker)
     else:
@@ -262,10 +262,13 @@ def _build_base(
     """Parity-check stage. cohort carries the point-side data (the value each
     point compares, or in swapped wiring the data the advice decodes against).
 
+    parity_vector is GF(2)-linear in its vector, so a vector's parities are the
+    XOR of its coordinates' parity columns. Both wirings read the stage's
+    column list, computed once. The unswapped wiring groups each point by its
+    parities, read through one table per byte of the point (_byte_parities).
     The swapped wiring groups each advice value's cohort by the parity of the
-    subset that value decodes to. parity_vector is GF(2)-linear in its vector,
-    so that parity is the XOR of the subset's parity columns: _rank_parities
-    tabulates it per point and rank once per stage, with no decode per value.
+    subset that value decodes to: _rank_parities tabulates it per point and
+    rank once per stage, with no decode per value.
     """
     if not cohort:
         return None
@@ -273,11 +276,12 @@ def _build_base(
         return None  # unconditional reject, nothing to store
     d = cohort[0][1].dim
     rs = bp.draw_parity_vectors(ctx.tapes.pri, d, bp.base_t(delta))
+    cols = _parity_columns(rs, range(d))
 
     if not swapped:
         groups: dict[int, Cohort] = {}
-        for idx, xval in cohort:
-            groups.setdefault(bp.parity_vector(xval, rs), []).append((idx, xval))
+        for point, a in zip(cohort, _byte_parities(cols, [x.value for _, x in cohort])):
+            groups.setdefault(a, []).append(point)
         carol = _build_parities(ctx, d, rs, groups, AliceNode, BobNode, cont)
         return _emit(ctx, MerlinDeferred, mode, z, carol)
 
@@ -290,7 +294,7 @@ def _build_base(
         count = bp.subset_count(recon_base.popcount(), zmax)
         if count > _SUBSET_ENUM_LIMIT:
             raise TreeSizeError(ctx.budget.nodes + count, ctx.budget.ceiling)
-    tables = _rank_parities(rs, [recon_base for _, recon_base in cohort], zmax)
+    tables = _rank_parities(rs, cols, [recon_base for _, recon_base in cohort], zmax)
     merlin_children: dict[tuple[int, int], object] = {}
     for m, parities in enumerate(zip(*tables)):
         groups = {}
@@ -302,18 +306,41 @@ def _build_base(
     return _emit(ctx, MerlinExplicit, bp.SQ, z, w, merlin_children)
 
 
-def _rank_parities(rs, bases: list[BitVector], zmax: int) -> list[list[int]]:
+def _byte_parities(cols: list[int], values: list[int]):
+    """parity_vector of each value, given the parity columns of all its
+    coordinates: the XOR of one table entry per byte (the Method of Four
+    Russians). Table k holds the XOR of every subset of columns 8k..8k+7,
+    indexed by the byte's bits. The values are packed into one buffer, and
+    the keys come lazily from one pass over it per byte position."""
+    tables = []
+    for k in range(0, len(cols), 8):
+        table = [0]
+        for c in cols[k : k + 8]:
+            table += [v ^ c for v in table]
+        tables.append(table)
+    nbytes = len(tables)
+    packed = bytearray()
+    for value in values:
+        packed += value.to_bytes(nbytes, "little")
+    keys = repeat(0, len(values))
+    for k, table in enumerate(tables):
+        keys = map(xor, keys, map(table.__getitem__, memoryview(packed)[k::nbytes]))
+    return keys
+
+
+def _rank_parities(rs, cols: list[int], bases: list[BitVector], zmax: int) -> list[list[int]]:
     """Per base, parity_vector(decode(SQ, base, m, zmax), rs) at every rank m
-    below the largest subset count among the bases. Ranks run as unrank_subset
-    orders them: size 0 first, then each size in lexicographic order, as
-    combinations yields them. Past a base's own count a rank decodes to the
-    sentinel, whose parity is computed once."""
+    below the largest subset count among the bases, from the stage's parity
+    columns cols. Ranks run as unrank_subset orders them: size 0 first, then
+    each size in lexicographic order, as combinations yields them. Past a
+    base's own count a rank decodes to the sentinel, whose parity is computed
+    once."""
     tables = []
     for base in bases:
-        cols = _parity_columns(rs, base.ones())
+        base_cols = [cols[j] for j in base.ones()]
         table: list[int] = []
-        for k in range(min(zmax, len(cols)) + 1):
-            table.extend(reduce(xor, subset, 0) for subset in combinations(cols, k))
+        for k in range(min(zmax, len(base_cols)) + 1):
+            table.extend(reduce(xor, subset, 0) for subset in combinations(base_cols, k))
         tables.append(table)
     ranks = max(map(len, tables))
     sentinel = bp.parity_vector(bp.decode_failed_sentinel(bases[0].dim), rs)
@@ -322,11 +349,12 @@ def _rank_parities(rs, bases: list[BitVector], zmax: int) -> list[list[int]]:
 
 def _build_parities(ctx: _Ctx, d: int, rs, groups: dict[int, Cohort], point_cls, recon_cls, cont):
     """The stored parity vectors rs, then the point side's parities: per value,
-    the equal reconstruction parities and the sub-tree of its group."""
+    the equal reconstruction parities and the sub-tree of its group. A leaf
+    draws nothing, so it gets the context unforked."""
     t = len(rs)
     children: dict[tuple[int, int], object] = {}
     for a in sorted(groups):
-        leaf = cont(ctx.fork(), groups[a])
+        leaf = cont(ctx if cont is _leaf_maker else ctx.fork(), groups[a])
         if leaf is not None:
             recon = {(t, a): leaf}
             children[(t, a)] = _emit(ctx, recon_cls, "base-recon-parities", recon)

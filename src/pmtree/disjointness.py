@@ -159,36 +159,3 @@ def uniform_size_dataset(dim: int, k: int, n: int, seed: int) -> Dataset:
     """Empirical stand-in for the uniform size-k distribution: n i.i.d. draws."""
     tape = RandomTape(seed, Stream.PUB)
     return Dataset(dim, tuple(random_fixed_size_set(dim, k, tape) for _ in range(n)))
-
-
-def exact_disjoint_probability(d: int, k: int, l: int) -> float:
-    """Closed form for uniform fixed-size sets: C(d-k, l) / C(d, l)."""
-    if k + l > d:
-        return 0.0
-    return comb(d - k, l) / comb(d, l)
-
-
-def disjoint_probability_check(
-    d: int, k: int, l: int, eps: float, trials: int = 20000, seed: int = 7
-) -> bool:
-    """Generator sanity oracle: empirical disjoint rate of uniform size-k vs
-    size-l sets stays above eps minus three standard errors.
-
-    Hypothesis bound taken non-strictly; the underlying estimate still holds
-    with equality.
-    """
-    if k == 0 or l == 0:
-        return True
-    if not (k <= l < d / 3.0):
-        raise ValueError("need k <= l < d/3")
-    if k * l > d * math.log(1.0 / eps) / 3.0:
-        raise ValueError("need k*l <= d*ln(1/eps)/3")
-    tape = RandomTape(seed, Stream.PUB)
-    hits = 0
-    for _ in range(trials):
-        x = random_fixed_size_set(d, k, tape)
-        yv = random_fixed_size_set(d, l, tape)
-        hits += 0 if x.intersects(yv) else 1
-    p = hits / trials
-    sigma = math.sqrt(max(p * (1 - p), 1e-12) / trials)
-    return p >= eps - 3.0 * sigma

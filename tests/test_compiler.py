@@ -30,7 +30,9 @@ from pmtree.compiler import (
     _NODE_HEADERS,
     _SITE_CODE,
     _SUBSET_ENUM_LIMIT,
+    _byte_parities,
     _coset,
+    _parity_columns,
     _rank_parities,
     _reachable_parities,
     _recon_reachability,
@@ -532,7 +534,7 @@ def test_reachability_accepts_every_bucket_past_the_closure_guard():
 def _assert_rank_parities_decode(rs, bases, zmax):
     """_rank_parities against one decode and one parity per (base, rank);
     returns how many ranks lay past their base's subset count."""
-    tables = _rank_parities(rs, bases, zmax)
+    tables = _rank_parities(rs, _parity_columns(rs, range(bases[0].dim)), bases, zmax)
     counts = [subset_count(base.popcount(), zmax) for base in bases]
     assert [len(table) for table in tables] == [max(counts)] * len(bases)
     for base, table in zip(bases, tables):
@@ -559,9 +561,22 @@ def test_rank_parities_equal_the_parities_of_the_decoded_subsets():
     base = BitVector(9, 0)
     assert _assert_rank_parities_decode(rs, [base], 3) == 0
     assert _assert_rank_parities_decode(rs, [base, BitVector(9, 0b1011)], 2) == 6
-    assert _rank_parities(rs, [base, BitVector(9, 0b1011)], 2)[0][1:] == [
+    cols = _parity_columns(rs, range(9))
+    assert _rank_parities(rs, cols, [base, BitVector(9, 0b1011)], 2)[0][1:] == [
         parity_vector(decode_failed_sentinel(9), rs)
     ] * 6
+
+
+def test_byte_table_parities_equal_parity_vector():
+    tape = RandomTape(43, Stream.PUB)
+    for d in (1, 7, 8, 9, 11, 63, 64, 65, 130):
+        full = (1 << d) - 1
+        for t in (0, 1, 3, 10, 20):
+            rs = _random_vectors(tape, t, d)
+            values = [0, full] + [tape.draw_bits(d) for _ in range(50)]
+            keys = list(_byte_parities(_parity_columns(rs, range(d)), values))
+            assert keys == [parity_vector(BitVector(d, v), rs) for v in values]
+    assert list(_byte_parities(_parity_columns(rs, range(d)), [])) == []
 
 
 def _pm_loop_tree():
@@ -579,6 +594,34 @@ def test_pm_loop_build_decodes_no_advice_value(monkeypatch):
     tree = _pm_loop_tree()
     assert any(isinstance(node, MerlinExplicit) for node in _nodes(tree.root))
     assert calls == []
+
+
+def test_desk_base_case_build_makes_no_parity_vector_call(monkeypatch):
+    # The unswapped stage groups points through byte tables; a parity_vector
+    # call per point must not come back.
+    ds = _random_dataset(4096, 64, seed=13)
+    params = desk_params(4096, 64, 4)
+    assert params.is_base_case()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return parity_vector(*args)
+
+    monkeypatch.setattr(compiler.bp, "parity_vector", counted)
+    tree = preprocess(ds, "pm", params, seed=3)
+    assert tree.meta.leaf_count > 1
+    assert calls == []
+
+
+def test_pm_loop_build_forks_no_leaf_context(monkeypatch):
+    # _leaf_maker draws nothing, so a parity group's leaf gets its context
+    # unforked; two tape clones per leaf must not come back.
+    clones = []
+    original = compiler.Tapes.clone
+    monkeypatch.setattr(compiler.Tapes, "clone", lambda self: clones.append(1) or original(self))
+    tree = _pm_loop_tree()
+    assert len(clones) < tree.meta.leaf_count
 
 
 def _nodes(root):

@@ -6,8 +6,6 @@ from pmtree.bits import BitVector, Dataset
 from pmtree.dist import EmpiricalDistribution
 from pmtree.disjointness import (
     StdParams,
-    disjoint_probability_check,
-    exact_disjoint_probability,
     fix_randomness,
     random_fixed_size_set,
     run_std,
@@ -20,6 +18,39 @@ from pmtree.reports import mean
 def _params(d, eps=0.2):
     ell = math.ceil(math.sqrt(d / math.log2(1 / eps)))
     return StdParams(d, ell, eps)
+
+
+def exact_disjoint_probability(d: int, k: int, l: int) -> float:
+    """Closed form for uniform fixed-size sets: C(d-k, l) / C(d, l)."""
+    if k + l > d:
+        return 0.0
+    return math.comb(d - k, l) / math.comb(d, l)
+
+
+def disjoint_probability_check(
+    d: int, k: int, l: int, eps: float, trials: int = 20000, seed: int = 7
+) -> bool:
+    """Generator sanity oracle: empirical disjoint rate of uniform size-k vs
+    size-l sets stays above eps minus three standard errors.
+
+    Hypothesis bound taken non-strictly; the underlying estimate still holds
+    with equality.
+    """
+    if k == 0 or l == 0:
+        return True
+    if not (k <= l < d / 3.0):
+        raise ValueError("need k <= l < d/3")
+    if k * l > d * math.log(1.0 / eps) / 3.0:
+        raise ValueError("need k*l <= d*ln(1/eps)/3")
+    tape = RandomTape(seed, Stream.PUB)
+    hits = 0
+    for _ in range(trials):
+        x = random_fixed_size_set(d, k, tape)
+        yv = random_fixed_size_set(d, l, tape)
+        hits += 0 if x.intersects(yv) else 1
+    p = hits / trials
+    sigma = math.sqrt(max(p * (1 - p), 1e-12) / trials)
+    return p >= eps - 3.0 * sigma
 
 
 def test_intersecting_pairs_never_declared_disjoint_exhaustive():
