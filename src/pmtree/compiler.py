@@ -22,17 +22,24 @@ Queries walk the tree: point-side nodes descend every child, query-side nodes
 descend the one child matching the honestly computed message, stored channel
 data is read back, and candidates from visited accepting leaves pass through
 the exact match predicate before being reported.
+
+In memory, the advice values of one swapped stage that give every point the
+same parity share one sub-tree object, in the built tree and in the loaded
+one; the file keeps one copy of it per occurrence, and the counts in TreeMeta
+count every occurrence. Nodes are therefore never mutated once built.
 """
 
 from __future__ import annotations
 
+import gc
 import io
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import combinations, repeat
-from operator import xor
+from operator import sub, xor
 
 from . import base_protocol as bp
 from .bits import BitVector, Dataset, TernaryPattern, match_pm, subset_of
@@ -180,6 +187,18 @@ class _Budget:
         self.leaves += 1
         self.candidates += n_candidates
 
+    def counts(self) -> tuple[int, int, int]:
+        return self.nodes, self.leaves, self.candidates
+
+    def repeat(self, nodes: int, leaves: int, candidates: int) -> None:
+        """Count a sub-tree again, all at once; over the ceiling, raise what
+        counting its nodes one at a time would."""
+        if self.nodes + nodes > self.ceiling:
+            raise TreeSizeError(self.ceiling + 1, self.ceiling)
+        self.nodes += nodes
+        self.leaves += leaves
+        self.candidates += candidates
+
 
 @dataclass
 class _Ctx:
@@ -192,7 +211,23 @@ class _Ctx:
         return _Ctx(dist if dist is not None else self.dist, self.tapes.clone(), self.budget)
 
 
+# (point id, point-side data) pairs. Every cohort keeps ascending id order:
+# the root enumerates the dataset, and each step filters or groups in order.
 Cohort = list[tuple[int, BitVector]]
+
+
+@contextmanager
+def _collector_paused():
+    """The cyclic garbage collector off while a tree is built or read: the
+    tree holds no cycles, so the collector would only rescan it. It is
+    switched back on afterwards only if it was on before."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def preprocess(
@@ -211,10 +246,9 @@ def preprocess(
     budget = _Budget(node_ceiling)
     ctx = _Ctx(dist, Tapes.from_seed(seed), budget)
     cohort: Cohort = list(enumerate(dataset.points))
-    if protocol == PM_PROTOCOL:
-        root = _build_pm(ctx, params, cohort, _leaf_maker)
-    else:
-        root = _build_sq(ctx, params, cohort, _leaf_maker)
+    build = _build_pm if protocol == PM_PROTOCOL else _build_sq
+    with _collector_paused():
+        root = build(ctx, params, cohort, _leaf_maker)
     meta = TreeMeta(
         protocol=protocol,
         seed=seed,
@@ -230,7 +264,7 @@ def preprocess(
 def _leaf_maker(ctx: _Ctx, cohort: Cohort):
     if not cohort:
         return None
-    ids = tuple(sorted(i for i, _ in cohort))
+    ids = tuple([i for i, _ in cohort])
     ctx.budget.note_leaf(len(ids))
     return Leaf(ids)
 
@@ -268,7 +302,9 @@ def _build_base(
     parities, read through one table per byte of the point (_byte_parities).
     The swapped wiring groups each advice value's cohort by the parity of the
     subset that value decodes to: _rank_parities tabulates it per point and
-    rank once per stage, with no decode per value.
+    rank once per stage, with no decode per value. Two values that give every
+    point the same parity group it alike; when the leaves follow, which draw
+    no tape, they get the same sub-tree, built once and counted per value.
     """
     if not cohort:
         return None
@@ -296,11 +332,21 @@ def _build_base(
             raise TreeSizeError(ctx.budget.nodes + count, ctx.budget.ceiling)
     tables = _rank_parities(rs, cols, [recon_base for _, recon_base in cohort], zmax)
     merlin_children: dict[tuple[int, int], object] = {}
+    built: dict[tuple[int, ...], tuple] = {}
+    budget = ctx.budget
     for m, parities in enumerate(zip(*tables)):
-        groups = {}
-        for point, b in zip(cohort, parities):
-            groups.setdefault(b, []).append(point)
-        carol = _build_parities(ctx, d, rs, groups, BobNode, AliceNode, cont)
+        hit = built.get(parities)
+        if hit is not None:
+            carol, *counts = hit
+            budget.repeat(*counts)
+        else:
+            before = budget.counts()
+            groups = {}
+            for point, b in zip(cohort, parities):
+                groups.setdefault(b, []).append(point)
+            carol = _build_parities(ctx, d, rs, groups, BobNode, AliceNode, cont)
+            if cont is _leaf_maker:
+                built[parities] = (carol, *map(sub, budget.counts(), before))
         if carol is not None:
             merlin_children[(width, m)] = carol
     return _emit(ctx, MerlinExplicit, bp.SQ, z, w, merlin_children)
@@ -991,13 +1037,27 @@ def serialize(tree: ProtocolTree) -> bytes:
     ])
 
 
-def _write_children(buf, children: dict, depth: int, widest: list, runs: dict) -> None:
+def _write_children(
+    buf, children: dict, depth: int, widest: list, runs: dict, spans: dict | None = None
+) -> None:
+    """With spans, a child that is the same object as an earlier sibling is
+    written by copying the bytes written for that sibling."""
     if len(children) > widest[depth]:
         widest[depth] = len(children)
     for (nbits, value), child in sorted(children.items()):  # keys are unique
         buf.write(_COUNT.pack(nbits))
         buf.write(value.to_bytes((nbits + 7) // 8, "little"))
-        _write_node(buf, child, depth + 1, widest, runs)
+        span = None if spans is None else spans.get(id(child))
+        if span is None:
+            start = buf.tell()
+            _write_node(buf, child, depth + 1, widest, runs)
+            if spans is not None:
+                spans[id(child)] = (start, buf.tell())
+        else:
+            # The view must be released before the buffer grows again.
+            with buf.getbuffer() as view:
+                raw = view[span[0] : span[1]].tobytes()
+            buf.write(raw)
 
 
 def _write_node(buf, node, depth: int, widest: list, runs: dict) -> None:
@@ -1018,7 +1078,7 @@ def _write_node(buf, node, depth: int, widest: list, runs: dict) -> None:
         kind = _NODE_MERLIN_EXPLICIT
         mode = _MODE_CODE[node.mode]
         buf.write(_NODE_HEADERS[kind].pack(kind, mode, node.z, node.cap, len(node.children)))
-        _write_children(buf, node.children, depth, widest, runs)
+        _write_children(buf, node.children, depth, widest, runs, {})
     elif isinstance(node, CarolNode):
         kind = _NODE_CAROL
         site = _SITE_CODE[node.site]
@@ -1072,12 +1132,19 @@ class _Reader:
             raise TreeError(f"bad site or mode code {code}")
         return name
 
-    def children(self, count: int, depth: int) -> dict:
+    def children(self, count: int, depth: int, seen: dict | None = None) -> dict:
+        """With seen, a child whose bytes equal an earlier sibling's is that
+        sibling's object: a sub-tree's bytes do not depend on where it sits,
+        and siblings pass the same depth checks."""
         out = {}
         for _ in range(count):
             (nbits,) = self.unpack(_COUNT, "message width")
             value = int.from_bytes(self.take((nbits + 7) // 8, "message value"), "little")
-            out[(nbits, value)] = self.node(depth + 1)
+            start = self.pos
+            child = self.node(depth + 1)
+            if seen is not None:
+                child = seen.setdefault(self.data[start : self.pos], child)
+            out[(nbits, value)] = child
         return out
 
     def node(self, depth: int = 0):
@@ -1117,7 +1184,8 @@ class _Reader:
             return MerlinDeferred(self.name(_MODE_NAME, code), z, self.node(depth + 1))
         if kind == _NODE_MERLIN_EXPLICIT:
             _, code, z, cap, count = head
-            return MerlinExplicit(self.name(_MODE_NAME, code), z, cap, self.children(count, depth))
+            children = self.children(count, depth, {})
+            return MerlinExplicit(self.name(_MODE_NAME, code), z, cap, children)
         _, code, count = head
         cls = AliceNode if kind == _NODE_ALICE else BobNode
         return cls(self.name(_SITE_NAME, code), self.children(count, depth))
@@ -1144,7 +1212,8 @@ def deserialize(data: bytes, dataset: Dataset) -> ProtocolTree:
         raise TreeError(f"tree file stores dimension {dim}, but the dataset has {dataset.dim}")
     (nbranch,) = r.unpack(_COUNT, "branching table")
     r.take(_BRANCH.size * nbranch, "branching table")
-    root = r.node() if r.take(1, "root flag")[0] else None
+    with _collector_paused():
+        root = r.node() if r.take(1, "root flag")[0] else None
     if r.pos != r.size:
         raise TreeError(f"tree file has {r.size - r.pos} bytes after the tree")
     meta = TreeMeta(

@@ -1,4 +1,6 @@
 import functools
+import gc
+import hashlib
 import math
 import struct
 from collections import Counter
@@ -54,6 +56,7 @@ from pmtree.generators import (
 )
 from pmtree.oracles import brute_force_pm, brute_force_sq
 from pmtree.presets import desk_params
+from test_tree_digests import PINNED
 
 
 def _random_dataset(n, d, seed, sparse=False):
@@ -700,3 +703,82 @@ def test_mutated_tree_file_loads_or_raises_tree_error(name, data):
             query(tree, q)
         except TreeError:
             pass
+
+
+# A forced-loop PM tree whose swapped stages hold advice values that give every
+# point the same parity, so their sub-trees are built, written and loaded once.
+SHARING_SHA256 = "9caaba021082b2a8889337898739a9861bb6836f73371e726976807205b4465b"
+
+
+def _sharing_tree(node_ceiling=compiler.DEFAULT_NODE_CEILING):
+    ds = _random_dataset(24, 10, seed=2)
+    params = derive_params(10, 6, 0.25, 0.05, t_cap=3, base_factor=1.0)
+    return preprocess(ds, "pm", params, seed=2, node_ceiling=node_ceiling)
+
+
+def _distinct_nodes(root) -> int:
+    return len({id(node) for node in _nodes(root)})
+
+
+def test_repeated_advice_sub_trees_are_built_written_and_loaded_once(monkeypatch):
+    original, calls = compiler._build_parities, []
+    monkeypatch.setattr(
+        compiler, "_build_parities", lambda *args: calls.append(1) or original(*args)
+    )
+    built = _sharing_tree()
+    blob = serialize(built)
+    assert hashlib.sha256(blob).hexdigest() == SHARING_SHA256
+    loaded = deserialize(blob, built.dataset)
+    assert serialize(loaded) == blob
+    for tree in (built, loaded):
+        assert _distinct_nodes(tree.root) < tree.meta.node_count
+    advice_values = sum(
+        len(node.children) for node in _nodes(built.root) if isinstance(node, MerlinExplicit)
+    )
+    assert len(calls) < advice_values
+    tape = RandomTape(3, Stream.PUB)
+    for i in range(100):
+        q = _planted_or_random(built.dataset, 6, tape, i)
+        report = query(built, q)
+        assert report == query(loaded, q)
+        assert report.matches == frozenset(brute_force_pm(built.dataset, q))
+
+
+def test_repeated_sub_trees_hit_the_node_ceiling_where_counting_each_node_does():
+    node_count = _sharing_tree().meta.node_count
+    via_repeat = 0
+    for ceiling in [*range(100, node_count, 733), node_count - 1]:
+        with pytest.raises(TreeSizeError) as exc:
+            _sharing_tree(node_ceiling=ceiling)
+        assert (exc.value.node_count, exc.value.ceiling) == (ceiling + 1, ceiling)
+        via_repeat += exc.traceback[-1].name == "repeat"
+    assert via_repeat > 0
+    assert _sharing_tree(node_ceiling=node_count).meta.node_count == node_count
+
+
+def test_every_leaf_lists_ascending_ids():
+    trees = [make()[0] for make, _, _ in PINNED.values()] + [_sharing_tree()]
+    leaves = [node for tree in trees for node in _nodes(tree.root) if isinstance(node, Leaf)]
+    assert leaves
+    for leaf in leaves:
+        assert all(a < b for a, b in zip(leaf.candidates, leaf.candidates[1:]))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_and_load_restore_the_collector_setting(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        tree = _all_kinds_tree()
+        assert gc.isenabled() == enabled
+        blob = serialize(tree)
+        deserialize(blob, tree.dataset)
+        assert gc.isenabled() == enabled
+        with pytest.raises(TreeSizeError):
+            preprocess(tree.dataset, "pm", tree.meta.params, seed=3, node_ceiling=2)
+        assert gc.isenabled() == enabled
+        with pytest.raises(TreeError):
+            deserialize(blob[:-1], tree.dataset)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
