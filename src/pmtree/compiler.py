@@ -26,7 +26,11 @@ the exact match predicate before being reported.
 In memory, the advice values of one swapped stage that give every point the
 same parity share one sub-tree object, in the built tree and in the loaded
 one; the file keeps one copy of it per occurrence, and the counts in TreeMeta
-count every occurrence. Nodes are therefore never mutated once built.
+count every occurrence. The builder finds that sharing by parity tuple. The
+reader finds it by matching a child's bytes against the swapped-stage
+children it has read at the same depth, so it also shares equal children of
+different stages, and does not parse a child it matches. Nodes are therefore
+never mutated once built.
 """
 
 from __future__ import annotations
@@ -1103,14 +1107,26 @@ class _Reader:
     """A cursor over the bytes of a tree file. Leaf ids must be below n, and
     nodes nest at most MAX_TREE_DEPTH deep. Runs of vectors with the same dim
     and bytes come back as one shared tuple, as the builder shares one rs
-    across the advice values of a swapped stage."""
+    across the advice values of a swapped stage.
+
+    A swapped stage's child whose bytes equal those of a child already read
+    at the same depth, in this stage or an earlier one, is that child's
+    object, found by matching the bytes rather than parsing them. This is
+    exact: a node's encoding is self-delimiting and the parser decides only
+    from the bytes it reads and the depth, so equal bytes at an equal depth
+    parse to an equal sub-tree that ends at the same offset, and every check
+    on them has already run. A copy that differs in any byte, or is cut
+    short, matches nothing and is parsed and checked in full."""
 
     def __init__(self, data: bytes, n: int):
         self.data = bytes(data)
+        self.view = memoryview(self.data)
         self.size = len(data)
         self.pos = 0
         self.n = n
         self.runs: dict[tuple[int, bytes], tuple[BitVector, ...]] = {}
+        # Per depth, the bytes of each swapped-stage child read there.
+        self.stage_children: dict[int, dict[bytes, object]] = {}
 
     def take(self, size: int, what: str) -> bytes:
         pos = self.pos
@@ -1133,18 +1149,31 @@ class _Reader:
         return name
 
     def children(self, count: int, depth: int, seen: dict | None = None) -> dict:
-        """With seen, a child whose bytes equal an earlier sibling's is that
-        sibling's object: a sub-tree's bytes do not depend on where it sits,
-        and siblings pass the same depth checks."""
+        """With seen, each child is first looked up by the bytes ahead, taken
+        at the size of the child before it: a stage's children are spans of
+        one size. Trying one size per child keeps the lookups linear in the
+        file's length."""
         out = {}
+        size = 0
         for _ in range(count):
             (nbits,) = self.unpack(_COUNT, "message width")
             value = int.from_bytes(self.take((nbits + 7) // 8, "message value"), "little")
+            if seen is None:
+                out[(nbits, value)] = self.node(depth + 1)
+                continue
             start = self.pos
-            child = self.node(depth + 1)
-            if seen is not None:
-                child = seen.setdefault(self.data[start : self.pos], child)
+            end = start + size
+            child = seen.get(self.view[start:end]) if end <= self.size else None
+            if child is None:
+                child = self.node(depth + 1)
+                end = self.pos
+                seen[self.data[start:end]] = child
+            else:
+                self.pos = end
+            size = end - start
             out[(nbits, value)] = child
+        if len(out) != count:
+            raise TreeError(f"a node of {count} children repeats a message key")
         return out
 
     def node(self, depth: int = 0):
@@ -1184,7 +1213,7 @@ class _Reader:
             return MerlinDeferred(self.name(_MODE_NAME, code), z, self.node(depth + 1))
         if kind == _NODE_MERLIN_EXPLICIT:
             _, code, z, cap, count = head
-            children = self.children(count, depth, {})
+            children = self.children(count, depth, self.stage_children.setdefault(depth, {}))
             return MerlinExplicit(self.name(_MODE_NAME, code), z, cap, children)
         _, code, count = head
         cls = AliceNode if kind == _NODE_ALICE else BobNode

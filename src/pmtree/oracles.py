@@ -29,8 +29,5 @@ class RateEstimate:
     stderr: float
     trials: int
 
-    def within(self, target: float, sigmas: float = 3.0) -> bool:
-        return abs(self.mean - target) <= sigmas * self.stderr
-
     def at_most(self, bound: float, sigmas: float = 3.0) -> bool:
         return self.mean <= bound + sigmas * self.stderr

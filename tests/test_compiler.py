@@ -21,6 +21,7 @@ from pmtree.base_protocol import (
 from pmtree.bits import BitVector, Dataset, TernaryPattern
 from pmtree.compiler import (
     MAX_TREE_DEPTH,
+    AliceNode,
     CarolNode,
     Leaf,
     MerlinDeferred,
@@ -30,6 +31,7 @@ from pmtree.compiler import (
     TreeSizeError,
     _NODE_CAROL,
     _NODE_HEADERS,
+    _NODE_MERLIN_EXPLICIT,
     _SITE_CODE,
     _SUBSET_ENUM_LIMIT,
     _byte_parities,
@@ -672,6 +674,9 @@ def _fuzz_case(name):
     if name == "pm-loop":
         tree = _pm_loop_tree()
         ds = tree.dataset
+    elif name == "sharing":
+        tree = _sharing_tree()
+        ds = tree.dataset
     else:
         ds = _random_dataset(64, 16, seed=21)
         tree = preprocess(ds, "pm", desk_params(64, 16, 4), seed=5)
@@ -680,7 +685,7 @@ def _fuzz_case(name):
     return serialize(tree), ds, queries
 
 
-@pytest.mark.parametrize("name", ["pm-loop", "pm-base"])
+@pytest.mark.parametrize("name", ["pm-loop", "pm-base", "sharing"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_mutated_tree_file_loads_or_raises_tree_error(name, data):
@@ -742,6 +747,152 @@ def test_repeated_advice_sub_trees_are_built_written_and_loaded_once(monkeypatch
         report = query(built, q)
         assert report == query(loaded, q)
         assert report.matches == frozenset(brute_force_pm(built.dataset, q))
+
+
+def _written_spans(tree):
+    """serialize(tree), and (node, start, end) in those bytes for each node the
+    writer writes node by node; a repeated sibling's copy is not among them."""
+    spans = []
+    original = compiler._write_node
+
+    def recorded(buf, node, *args):
+        start = buf.tell()
+        original(buf, node, *args)
+        spans.append((node, start, buf.tell()))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiler, "_write_node", recorded)
+        blob = serialize(tree)
+    base = len(blob) - spans[-1][2]  # the root is written last, at the end
+    return blob, [(node, base + start, base + end) for node, start, end in spans]
+
+
+def _repeated_copies(tree):
+    """serialize(tree), and (stage, key, first key, start, size) for each child
+    of a swapped stage that is the same object as an earlier sibling, where
+    start is the offset of its copy in those bytes."""
+    blob, spans = _written_spans(tree)
+    written = {id(node): (start, end) for node, start, end in spans}
+    copies = []
+    for node, start, _ in spans:
+        if not isinstance(node, MerlinExplicit):
+            continue
+        pos = start + _NODE_HEADERS[_NODE_MERLIN_EXPLICIT].size
+        first = {}
+        for key, child in sorted(node.children.items()):
+            pos += compiler._COUNT.size + (key[0] + 7) // 8
+            child_start, child_end = written[id(child)]
+            if id(child) in first:
+                copies.append((node, key, first[id(child)], pos, child_end - child_start))
+            first.setdefault(id(child), key)
+            pos += child_end - child_start
+    assert copies
+    return blob, copies
+
+
+def test_repeated_advice_sub_trees_are_matched_by_their_bytes_not_parsed(monkeypatch):
+    tree = _sharing_tree()
+    blob = serialize(tree)
+    original, calls = compiler._Reader.node, []
+    monkeypatch.setattr(
+        compiler._Reader, "node", lambda self, *args: calls.append(1) or original(self, *args)
+    )
+    loaded = deserialize(blob, tree.dataset)
+    # Equal children of different stages are shared too, so the loaded tree
+    # has fewer distinct nodes than the built one.
+    assert len(calls) == _distinct_nodes(loaded.root) < _distinct_nodes(tree.root)
+    assert serialize(loaded) == blob
+
+
+def test_equal_children_of_two_stages_are_shared_only_at_one_depth(monkeypatch):
+    tree = _all_kinds_tree()
+
+    def blob(levels):
+        """An Alice root over two swapped stages, the second under `levels`
+        MerlinDeferred nodes. Both hold a chain of 8 MerlinDeferred nodes; the
+        second holds first a leaf of the same size, so that the chain is
+        looked up at its size."""
+        stage = MerlinExplicit("pm", 4.0, 4.0, {(1, 0): _deferred_chain(8)})
+        deep = MerlinExplicit("pm", 4.0, 4.0, {(1, 0): Leaf((0,) * 20), (1, 1): _deferred_chain(8)})
+        for _ in range(levels):
+            deep = MerlinDeferred("pm", 4.0, deep)
+        root = AliceNode("base-point-parities", {(1, 0): stage, (1, 1): deep})
+        with monkeypatch.context() as m:
+            m.setattr(compiler, "MAX_TREE_DEPTH", MAX_TREE_DEPTH + 1)
+            return serialize(ProtocolTree(root, tree.meta, tree.dataset))
+
+    def stage_children(levels):
+        root = deserialize(blob(levels), tree.dataset).root
+        deep = root.children[(1, 1)]
+        for _ in range(levels):
+            deep = deep.child
+        return root.children[(1, 0)].children[(1, 0)], deep.children[(1, 1)]
+
+    first, second = stage_children(0)
+    assert first is second
+    # The second child's leaf sits at depth MAX_TREE_DEPTH, then one deeper.
+    first, second = stage_children(MAX_TREE_DEPTH - 10)
+    assert first == second and first is not second
+    with pytest.raises(TreeError, match="nest deeper"):
+        deserialize(blob(MAX_TREE_DEPTH - 9), tree.dataset)
+
+
+def test_a_changed_leaf_id_in_a_repeated_copy_is_parsed_as_its_own_sub_tree():
+    tree = _sharing_tree()
+    loaded = deserialize(serialize(tree), tree.dataset)
+    blob, copies = _repeated_copies(loaded)
+    stage, key, first_key, start, size = copies[0]
+    first = stage.children[first_key]
+    leaves = [node for node in _nodes(first) if isinstance(node, Leaf) and node.candidates]
+    _, spans = _written_spans(loaded)
+    leaf_start = next(s for node, s, _ in spans if node is leaves[0])
+    first_start = next(s for node, s, _ in spans if node is first)
+    at = start + leaf_start - first_start + _NODE_HEADERS[compiler._NODE_LEAF].size
+    (old,) = struct.unpack_from("<I", blob, at)
+    assert old == leaves[0].candidates[0]
+    new = next(i for i in range(tree.dataset.n) if i not in leaves[0].candidates)
+    mutated = bytearray(blob)
+    struct.pack_into("<I", mutated, at, new)
+    changed = deserialize(bytes(mutated), tree.dataset)
+    index = next(k for k, node in enumerate(_nodes(loaded.root)) if node is stage)
+    changed_stage = list(_nodes(changed.root))[index]
+    copy, kept = changed_stage.children[key], changed_stage.children[first_key]
+    assert copy is not kept
+
+    def ids(root):
+        return [node.candidates for node in _nodes(root) if isinstance(node, Leaf)]
+
+    assert new in {i for cands in ids(copy) for i in cands}
+    assert ids(kept) == ids(first)
+    assert serialize(changed) == bytes(mutated)
+
+
+def test_a_cut_inside_the_last_repeated_copy_raises_tree_error():
+    tree = _sharing_tree()
+    blob, copies = _repeated_copies(tree)
+    *_, start, size = copies[-1]
+    for cut in (start + 1, start + size // 2, start + size - 1):
+        with pytest.raises(TreeError, match="truncated"):
+            deserialize(blob[:cut], tree.dataset)
+
+
+def test_a_repeated_message_key_raises_tree_error():
+    # With the first key of this desk tree's Alice node copied over the second,
+    # the file used to load with one child fewer and answer queries wrongly.
+    ds = _random_dataset(64, 16, seed=21)
+    tree = preprocess(ds, "pm", desk_params(64, 16, 4), seed=5)
+    blob, spans = _written_spans(tree)
+    node, start, _ = next(span for span in spans if isinstance(span[0], AliceNode))
+    (first_key, first), (second_key, _) = sorted(node.children.items())[:2]
+    assert first_key[0] == second_key[0]
+    key_size = compiler._COUNT.size + (first_key[0] + 7) // 8
+    key_at = start + _NODE_HEADERS[compiler._NODE_ALICE].size
+    second_at = next(end for child, _, end in spans if child is first)
+    mutated = bytearray(blob)
+    mutated[second_at : second_at + key_size] = blob[key_at : key_at + key_size]
+    assert mutated != blob
+    with pytest.raises(TreeError, match="repeats a message key"):
+        deserialize(bytes(mutated), ds)
 
 
 def test_repeated_sub_trees_hit_the_node_ceiling_where_counting_each_node_does():
