@@ -165,10 +165,14 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_sim(args) -> int:
+    if args.trials < 1:
+        raise CliError("trials must be at least 1")
     report = Report("sim", {"protocol": args.protocol, "seed": args.seed, "trials": args.trials})
     if args.protocol == "base":
         d = args.d
-        t = args.t if args.t else 4
+        t = 4 if args.t is None else args.t
+        if t < 1:
+            raise CliError("parity rounds t must be at least 1")
         tape = RandomTape(args.seed, Stream.PUB)
         y = TernaryPattern(d, stars=0b11, one_bits=tape.draw_bits(d) & ~0b11 & ((1 << d) - 1))
         fill = tape.draw_bits(2)
@@ -178,8 +182,6 @@ def _cmd_sim(args) -> int:
             if x != ybar:
                 break
         adv = bp.BaseAdvice(bp.PM, fill, 2)
-        if args.trials < 1:
-            raise CliError("trials must be at least 1")
         # Each run draws its parity vectors from the private tape it advances.
         tapes = Tapes.from_seed(args.seed + 1)
         runs = (bp.run_base(bp.PM, x, y, d, d, 2.0**-t, adv, tapes) for _ in range(args.trials))

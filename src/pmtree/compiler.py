@@ -10,11 +10,13 @@ candidate.
 
 Prover messages whose decoding happens on the query side (star fills, subset
 ranks) are kept as a single deferred edge: the advice value never influences
-the stored structure, only the query's own reconstruction. At query time the
-walker looks up the reconstruction parities some advice value reaches: a
-GF(2) coset in Gray-code order, or the XOR closure of at most zmax columns when
-the SQ subset cap binds. It tests every stored bucket only when more parities
-may be reachable than are stored. Advice decoded on
+the stored structure, only the query's own reconstruction. At query time one
+GF(2) elimination of the free coordinates' parity columns (_recon_solve)
+decides which reconstruction parities some advice value reaches. When every
+payload is free and no more parities can be reached than are stored, the
+walker enumerates them, a coset in Gray-code order. Otherwise it tests each
+stored bucket; where the SQ subset cap binds, that test also searches the
+elimination's kernel for a solution of at most zmax columns. Advice decoded on
 the point side (the swapped wiring) is enumerated explicitly per point, which
 keys those nodes by advice value as usual.
 
@@ -682,41 +684,77 @@ def _walk_base(walk: _Walk, node, y_cur, z: float, mode: str, swapped: bool, con
 
 def _recon_reachability(mode: str, y_cur, z: float, rs):
     """Membership test for the parity vectors some advice value reconstructs
-    to: exact by affine span when all payloads are free, or by the subsets'
-    XOR closure when the subset size cap binds; past the guard, it accepts all."""
+    to. With the rows of _recon_solve, a target is reached when its XOR with
+    the offset reduces to 0; the reduced mask then names columns that sum to
+    it. For SQ, some such sum must also use at most zmax columns. A row's mask
+    holds only columns that became rows, so the reduced mask has at most rank
+    columns, and the cap binds only when zmax < rank. The sums are then the
+    reduced mask XOR each kernel combination; past _SUBSET_ENUM_LIMIT
+    combinations every bucket is accepted, and the leaf predicate keeps
+    answers exact. SQ ranks past the subset count decode to the sentinel, so
+    its parity is reached as well."""
+    offset, rows, kernel = _recon_solve(mode, y_cur, rs)
     zmax = math.floor(z)
-    if mode == bp.PM or zmax >= y_cur.popcount():
-        offset, basis = _recon_coset(mode, y_cur, rs)
-        if len(basis) == len(rs):
-            return lambda target: True  # the coset is all of GF(2)^t
-        return lambda target: _reduces_to_zero(basis, target ^ offset)
-    parities = _subset_parities(y_cur, zmax, rs, _SUBSET_ENUM_LIMIT)
-    if parities is None:
-        # A superset of the reachable buckets; the leaf predicate keeps answers exact.
+    sentinel = None
+    m = len(rows) + len(kernel)
+    if mode == bp.SQ and 1 << bp.sq_advice_width(m, zmax) > bp.subset_count(m, zmax):
+        sentinel = bp.parity_vector(bp.decode_failed_sentinel(y_cur.dim), rs)
+    if mode == bp.PM or zmax >= len(rows):
+        return lambda target: not _reduce(rows, target ^ offset)[0] or target == sentinel
+    if 1 << len(kernel) > _SUBSET_ENUM_LIMIT:
         return lambda target: True
-    return parities.__contains__
+    combos = list(_coset(0, kernel))
+
+    def reachable(target: int) -> bool:
+        rest, mask = _reduce(rows, target ^ offset)
+        light = not rest and any((mask ^ k).bit_count() <= zmax for k in combos)
+        return light or target == sentinel
+
+    return reachable
 
 
 def _reachable_parities(mode: str, y_cur, z: float, rs, stored: int):
-    """The parity vectors some advice value reconstructs to, when a bound
-    taken before any solving says there are at most `stored` of them; else None."""
-    zmax = math.floor(z)
+    """The parity vectors some advice value reconstructs to, in Gray-code
+    order, when every payload is free and at most `stored` of them can
+    exist; else None, and the walker tests each stored bucket."""
     free = y_cur.star_count() if mode == bp.PM else y_cur.popcount()
-    coset = mode == bp.PM or zmax >= free
-    if min(1 << len(rs), 1 << free if coset else bp.subset_count(free, zmax) + 1) > stored:
+    if (mode == bp.SQ and math.floor(z) < free) or 1 << min(len(rs), free) > stored:
         return None
-    if coset:
-        return _coset(*_recon_coset(mode, y_cur, rs))
-    return _subset_parities(y_cur, zmax, rs, stored)
+    offset, rows, _ = _recon_solve(mode, y_cur, rs)
+    return _coset(offset, [row for row, _ in rows])
 
 
-def _recon_coset(mode: str, y_cur, rs) -> tuple[int, list[int]]:
-    """(offset, basis) of the reconstruction parities when every payload is free.
-    SQ advice then indexes all 2^m subsets, so none decodes to the sentinel."""
+def _recon_solve(mode: str, y_cur, rs) -> tuple[int, list[tuple[int, int]], list[int]]:
+    """One GF(2) elimination of the reconstruction parities: (offset, rows,
+    kernel). The free coordinates are the stars (PM, offset the parities of
+    the pattern's ones) or the ones of y_cur (SQ, offset 0). Each row is a
+    reduced column with the mask of the source columns it sums; rows have
+    distinct leading bits, in descending order. A column that reduces to 0
+    leaves its mask in the kernel."""
     if mode == bp.PM:
-        offset = bp.parity_vector(y_cur.ones_vector(), rs)
-        return offset, _span_basis(_parity_columns(rs, y_cur.star_positions()))
-    return 0, _span_basis(_parity_columns(rs, y_cur.ones()))
+        offset, positions = bp.parity_vector(y_cur.ones_vector(), rs), y_cur.star_positions()
+    else:
+        offset, positions = 0, y_cur.ones()
+    rows: list[tuple[int, int]] = []
+    kernel: list[int] = []
+    for j, col in enumerate(_parity_columns(rs, positions)):
+        col, mask = _reduce(rows, col)
+        if col:
+            rows.append((col, mask ^ 1 << j))
+            rows.sort(reverse=True)
+        else:
+            kernel.append(mask ^ 1 << j)
+    return offset, rows, kernel
+
+
+def _reduce(rows: list[tuple[int, int]], target: int) -> tuple[int, int]:
+    """target reduced against the rows, and the mask of the columns it took."""
+    mask = 0
+    for row, row_mask in rows:
+        if target ^ row < target:
+            target ^= row
+            mask ^= row_mask
+    return target, mask
 
 
 def _coset(offset: int, basis: list[int]):
@@ -728,47 +766,9 @@ def _coset(offset: int, basis: list[int]):
         yield value
 
 
-def _subset_parities(y_cur: BitVector, zmax: int, rs, limit: int) -> set[int] | None:
-    """The parities of the subsets of y_cur with at most zmax elements, and the
-    decode sentinel's when some payload has no subset; None past limit values.
-    parity_vector is linear and a repeated column cancels: grow the XORs of at
-    most zmax columns breadth-first."""
-    cols = _parity_columns(rs, y_cur.ones())
-    parities, frontier = {0}, {0}
-    for _ in range(zmax):
-        frontier = {v ^ c for v in frontier for c in cols}
-        frontier -= parities
-        if not frontier:
-            break
-        parities |= frontier
-        if len(parities) > limit:
-            return None
-    m = len(cols)
-    if (1 << bp.sq_advice_width(m, zmax)) > bp.subset_count(m, zmax):
-        parities.add(bp.parity_vector(bp.decode_failed_sentinel(y_cur.dim), rs))
-    return parities
-
-
 def _parity_columns(rs, positions) -> list[int]:
     """Per position, the bits of the parity vectors there, as one t-bit column."""
     return [sum(((r.value >> pos) & 1) << i for i, r in enumerate(rs)) for pos in positions]
-
-
-def _span_basis(cols: list[int]) -> list[int]:
-    basis: list[int] = []
-    for v in cols:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
-
-
-def _reduces_to_zero(basis: list[int], target: int) -> bool:
-    for b in basis:
-        target = min(target, target ^ b)
-    return target == 0
 
 
 def _expect(node, kind, site: str, what: str):
@@ -917,27 +917,6 @@ def _walk_pm(walk: _Walk, node, params: ProtocolParams, y: TernaryPattern, cont)
         walk, node, PM_PROTOCOL, near_match,
         lambda tag: _walk_halving(walk, tag, params, y, y.stars, w, PM_PROTOCOL, _walk_pm, cont),
     )
-
-
-# ---------------------------------------------------------------------------
-# Parameter instantiation from the headline analysis
-# ---------------------------------------------------------------------------
-
-
-def paper_params(n: int, c: float, c1: float = 1.0, c2: float = 1.0) -> tuple[float, float, float]:
-    """(eps, delta, w) from the headline instantiation, with the two analysis
-    constants supplied by the caller (never pinned numerically upstream; the
-    log-squared factor degenerates to 1 at the default c1 = c2 = 1)."""
-    if n < 2 or c < 1:
-        raise ValueError("need n >= 2 and c >= 1")
-    lg = math.log2(c1 * c2)
-    log_factor = lg * lg if lg != 0 else 1.0
-    logc = math.log2(c) if c > 1 else 1.0
-    exponent = (math.log2(n) / (c * logc * logc)) / (1e9 * c1**4 * c2**4 * log_factor)
-    eps = 2.0**-exponent
-    delta = n ** (-1.0 / (100.0 * c1 * c2))
-    w = c * math.log2(n)
-    return eps, delta, w
 
 
 # ---------------------------------------------------------------------------

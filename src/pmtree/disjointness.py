@@ -136,6 +136,8 @@ def fix_randomness(
     the chosen seed's error again on fresh pairs."""
     if not candidate_seeds:
         raise ValueError("need at least one candidate seed")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     estimates: dict[int, float] = {}
     for cand in candidate_seeds:
         sel_tape = RandomTape(eval_seed ^ (cand * 0x9E3779B97F4A7C15), Stream.PUB)

@@ -28,6 +28,3 @@ class RateEstimate:
     mean: float
     stderr: float
     trials: int
-
-    def at_most(self, bound: float, sigmas: float = 3.0) -> bool:
-        return self.mean <= bound + sigmas * self.stderr

