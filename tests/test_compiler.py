@@ -510,11 +510,11 @@ def _capped_case(size: int):
     return y, _random_vectors(tape, 14, 32)
 
 
-def test_capped_reachability_is_exact_where_the_closure_gave_up():
+def test_capped_reachability_is_exact_past_the_enumeration_limit():
     # The parities of at most 4 of 20 columns, grown breadth-first, number
-    # 5 074 here; the XOR closure capped at _SUBSET_ENUM_LIMIT gave up on
-    # them and accepted every bucket. Ranks past the subset count decode to
-    # the sentinel, whose parity is reached as well.
+    # 5 074 here, more than _SUBSET_ENUM_LIMIT; the kernel search over 2^6
+    # combinations still decides each bucket exactly. Ranks past the subset
+    # count decode to the sentinel, whose parity is reached as well.
     y, rs = _capped_case(20)
     cols = _parity_columns(rs, y.ones())
     parities, frontier = {0}, {0}
@@ -524,6 +524,8 @@ def test_capped_reachability_is_exact_where_the_closure_gave_up():
     assert len(parities) == 5074 > _SUBSET_ENUM_LIMIT
     assert (1 << advice_width("sq", y, 4.0)) > subset_count(20, 4)
     parities.add(parity_vector(decode_failed_sentinel(32), rs))
+    _, rows, kernel = _recon_solve("sq", y, rs)
+    assert (len(rows), len(kernel)) == (14, 6)
     reachable = _recon_reachability("sq", y, 4.0, rs)
     assert {a for a in range(1 << 14) if reachable(a)} == parities
     assert len(parities) == 5075
