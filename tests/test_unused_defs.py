@@ -13,8 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "pmtree").glob("*.py") if p.name != "__init__.py")
 
 # Transcript.c_c is the public channel's bit count. The engine tests check it
-# beside c_a, c_b and c_m, and the communication measurements of ROADMAP
-# item 16 report it.
+# beside c_a, c_b and c_m, and it stays for measuring communication per
+# channel.
 EXEMPT = {("engine.py", "Transcript.c_c")}
 
 
