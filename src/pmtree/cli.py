@@ -266,13 +266,18 @@ def _cmd_fix_seed(args) -> int:
 
 def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sweep_n.split(",")]
+    if args.queries < 1:
+        raise CliError(f"queries must be at least 1, not {args.queries}")
+    # Every size's params are checked before the first build.
+    sweep = [(n, _params_from_args(args, n, args.d)) for n in sizes]
+    if len(set(sizes)) < 2:
+        raise CliError("the sweep needs at least two distinct sizes to fit a slope")
     report = Report("bench", {"d": args.d, "w": args.w, "seed": args.seed})
     tape = RandomTape(args.seed, Stream.PUB)
     means = []
-    for n in sizes:
+    for n, params in sweep:
         pts = tuple(BitVector(args.d, tape.draw_bits(args.d)) for _ in range(n))
         dataset = Dataset(args.d, pts)
-        params = _params_from_args(args, n, args.d)
         tree = preprocess(dataset, "pm", params, seed=args.seed + n,
                           node_ceiling=args.node_ceiling)
         queries = nonmatching_pm_queries(dataset, args.w, args.queries, seed=args.seed + 1 + n)
@@ -331,11 +336,12 @@ def _say(args, line: str) -> None:
 
 
 def _write_report(args, report: Report) -> None:
+    """Under --json, print the report as one object; write every file named."""
+    if getattr(args, "json", False):
+        print(json.dumps(report.to_json_obj(), indent=2, sort_keys=True))
     if getattr(args, "csv", None):
         report.write_csv(args.csv)
-    if getattr(args, "json", False) and not getattr(args, "csv", None):
-        print(json.dumps(report.to_json_obj(), indent=2, sort_keys=True))
-    elif getattr(args, "json_out", None):
+    if getattr(args, "json_out", None):
         report.write_json(args.json_out)
 
 

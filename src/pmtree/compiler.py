@@ -32,7 +32,10 @@ count every occurrence. The builder finds that sharing by parity tuple. The
 reader finds it by matching a child's bytes against the swapped-stage
 children it has read at the same depth, so it also shares equal children of
 different stages, and does not parse a child it matches. Nodes are therefore
-never mutated once built.
+never mutated once built, with one exception: the walker fills a swapped
+stage's index field (MerlinExplicit.index) the first time a query reaches the
+stage. The index is a pure function of the node, so sharing keeps it valid;
+it is neither compared nor written.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import io
 import math
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import combinations, repeat
 from operator import sub, xor
@@ -128,12 +131,14 @@ class MerlinDeferred:
 
 @dataclass(slots=True)
 class MerlinExplicit:
-    """Advice edge decoded against per-point data; children keyed by value."""
+    """Advice edge decoded against per-point data; children keyed by value.
+    index is the walker's, built at the first query that reaches the edge."""
 
     mode: str
     z: float
     cap: float
     children: dict[tuple[int, int], object]
+    index: list | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -655,31 +660,53 @@ def _walk_base(walk: _Walk, node, y_cur, z: float, mode: str, swapped: bool, con
                 cont(walk, child)
         return
 
-    # Swapped wiring: enumerate stored advice values; the walker's own side is
-    # the point side here.
+    # Swapped wiring: the walker's own side is the point side here, so one
+    # parity b per shared rs decides every stored advice value it reaches.
     if not isinstance(node, MerlinExplicit):
         raise TreeError("expected an explicit advice edge")
+    if node.index is None:
+        node.index = _stage_index(node)
+    for rs, by_parity in node.index:
+        hit = by_parity.get(bp.parity_vector(y_cur, rs))
+        if hit is not None:
+            bits, leafward = hit
+            walk.bits_walked += bits
+            for child in leafward:
+                cont(walk, child)
+
+
+def _stage_index(node: MerlinExplicit) -> list:
+    """A swapped stage's children by the query's parity b. Per run of children
+    that share one rs, in stored order: rs, and a map from b to the bits a
+    walk charges there and the leafward nodes it continues at, in stored
+    order. A walk computes b once per run, as a loop over the children would.
+    The loop's checks are made for every b at once, so a malformed stage
+    raises at its first visit."""
+    index: list = []
     rs = None
     for (mwidth, _m), carol in node.children.items():
         if not isinstance(carol, CarolNode) or carol.site != "base-parity-vecs":
             raise TreeError("expected stored parity vectors")
         if carol.vectors is not rs:
-            # The advice values of one stage share their rs, and so their b.
             rs = carol.vectors
-            b = bp.parity_vector(y_cur, rs)
+            by_parity: dict[int, list] = {}
+            index.append((rs, by_parity))
         bob = carol.child
         if not isinstance(bob, BobNode):
             raise TreeError("expected point parities")
-        child = bob.children.get((len(rs), b))
-        if child is None:
-            continue
-        walk.bits_walked += mwidth + carol.dim * len(rs) + len(rs)
-        if not isinstance(child, AliceNode):
-            raise TreeError("expected reconstruction parities")
-        leafward = child.children.get((len(rs), b))
-        if leafward is not None:
-            walk.bits_walked += len(rs)
-            cont(walk, leafward)
+        t = len(rs)
+        for (nbits, b), child in bob.children.items():
+            if nbits != t:
+                continue
+            if not isinstance(child, AliceNode):
+                raise TreeError("expected reconstruction parities")
+            hit = by_parity.setdefault(b, [0, []])
+            hit[0] += mwidth + carol.dim * t + t
+            leafward = child.children.get((t, b))
+            if leafward is not None:
+                hit[0] += t
+                hit[1].append(leafward)
+    return index
 
 
 def _recon_reachability(mode: str, y_cur, z: float, rs):

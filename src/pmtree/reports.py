@@ -81,4 +81,6 @@ def loglog_slope(ns, vals) -> float:
     my = mean(p[1] for p in pts)
     num = math.fsum((x - mx) * (y - my) for x, y in pts)
     den = math.fsum((x - mx) ** 2 for x, y in pts)
+    if den == 0:
+        raise ValueError("need at least two distinct sizes")
     return num / den

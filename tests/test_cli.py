@@ -7,6 +7,7 @@ from pmtree import compiler
 from pmtree.cli import main
 from pmtree.bits import Dataset
 from pmtree.compiler import Leaf, MerlinDeferred, ProtocolTree, load_tree, save_tree, serialize
+from pmtree.reports import loglog_slope
 
 
 def test_gen_build_query_round_trip(tmp_path, capsys, monkeypatch):
@@ -38,7 +39,7 @@ def test_gen_build_query_round_trip(tmp_path, capsys, monkeypatch):
     assert [[int(i) for i in r["matches"].split()] for r in rows] == truth
 
 
-def test_input_errors_exit_1_without_traceback(tmp_path, capsys):
+def test_input_errors_exit_1_without_traceback(tmp_path, capsys, monkeypatch):
     inst = str(tmp_path / "inst")
     dataset = inst + ".dataset"
     tree = tmp_path / "tree.bin"
@@ -118,11 +119,19 @@ def test_input_errors_exit_1_without_traceback(tmp_path, capsys):
                  "--queries", inst + ".queries"]) == 1
     assert "nest deeper" in capsys.readouterr().err
 
-    # Dataset sizes, trial counts and parity rounds below 1.
+    # Dataset sizes, trial counts and parity rounds below 1, and a sweep that
+    # cannot fit a slope; bench refuses them before it builds a tree.
+    builds = []
+    monkeypatch.setattr("pmtree.cli.preprocess", lambda *a, **k: builds.append(a))
     for argv, named in (
         (["sim", "--protocol", "sq", "--n", "0"], "n must be at least 1, not 0"),
         (["sim", "--protocol", "pm", "--n", "-3"], "n must be at least 1, not -3"),
         (["bench", "--sweep-n", "0"], "n must be at least 1, not 0"),
+        (["bench", "--sweep-n", "64,0"], "n must be at least 1, not 0"),
+        (["bench", "--sweep-n", "64,64"], "at least two distinct sizes"),
+        (["bench", "--sweep-n", "64"], "at least two distinct sizes"),
+        (["bench", "--queries", "0"], "queries must be at least 1, not 0"),
+        (["bench", "--queries", "-2"], "queries must be at least 1, not -2"),
         (["fix-seed", "--trials", "0"], "trials must be at least 1"),
         (["sim", "--protocol", "base", "--t", "0"], "t must be at least 1"),
         (["sim", "--protocol", "base", "--t", "-1"], "t must be at least 1"),
@@ -132,6 +141,7 @@ def test_input_errors_exit_1_without_traceback(tmp_path, capsys):
     ):
         assert main(argv) == 1, argv
         assert named in capsys.readouterr().err
+    assert builds == []
 
 
 def test_sim_sq_runs_every_trial_and_sees_both_answers(capsys):
@@ -162,8 +172,32 @@ def test_verify_one_criterion():
     ["bench", "--sweep-n", "64,128", "--queries", "5"],
     ["verify", "--only", "10", "--quick"],
     ["verify", "--only", "8", "--quick"],
+    ["bench", "--sweep-n", "64,128", "--queries", "5", "--csv", "{tmp}/bench.csv",
+     "--json-out", "{tmp}/bench.json"],
+    ["query", "--tree", "{tmp}/tree.bin", "--dataset", "{tmp}/inst.dataset",
+     "--queries", "{tmp}/inst.queries", "--csv", "{tmp}/query.csv"],
 ])
-def test_json_output_is_one_object(argv, capsys):
+def test_json_output_is_one_object(argv, tmp_path, capsys):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if argv[0] == "query":
+        inst = str(tmp_path / "inst")
+        assert main(["gen", "--n", "64", "--d", "16", "--w", "4", "--out", inst]) == 0
+        assert main(["build", "--dataset", inst + ".dataset", "--w", "4",
+                     "--out", str(tmp_path / "tree.bin")]) == 0
+        capsys.readouterr()
     # sim runs without --w on the default budget max(2, d // 8).
     assert main(argv + ["--json"]) == 0
     assert isinstance(json.loads(capsys.readouterr().out), dict)
+    # Files named beside --json are written too.
+    for flag in ("--csv", "--json-out"):
+        if flag in argv:
+            assert os.path.getsize(argv[argv.index(flag) + 1]) > 0
+    if "--json-out" in argv:
+        with open(argv[argv.index("--json-out") + 1]) as fh:
+            assert json.load(fh)["experiment"] == "bench"
+
+
+def test_loglog_slope_needs_two_distinct_sizes():
+    assert loglog_slope([64, 128], [1.0, 2.0]) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="two distinct sizes"):
+        loglog_slope([64, 64], [1.0, 2.0])

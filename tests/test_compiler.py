@@ -657,6 +657,71 @@ def test_loaded_tree_keeps_the_builders_vector_sharing():
     assert runs(loaded) <= runs(built)
 
 
+def test_stage_indexes_keep_reports_bytes_and_equality(monkeypatch):
+    # The walker indexes each swapped stage at its first visit. The digest
+    # queries report alike on the built tree, on a fresh load, and on that load
+    # with its indexes warm; the index is never compared or written.
+    built, queries = PINNED["pm-loop"][0]()
+    blob = serialize(built)
+    loaded = deserialize(blob, built.dataset)
+    builds = []
+    original = compiler._stage_index
+    monkeypatch.setattr(compiler, "_stage_index", lambda node: builds.append(1) or original(node))
+    reports = [query(built, q) for q in queries]
+    assert [query(loaded, q) for q in queries] == reports
+    cold = len(builds)
+    assert [query(loaded, q) for q in queries] == reports
+    assert len(builds) == cold
+    stages = [node for node in _nodes(loaded.root) if isinstance(node, MerlinExplicit)]
+    assert any(node.index is not None for node in stages)
+    assert serialize(built) == blob and serialize(loaded) == blob
+    assert built.root == loaded.root == deserialize(blob, built.dataset).root
+
+
+def _visited_stages(tree, queries, monkeypatch) -> list[set[int]]:
+    """Per query, the ids of the nodes _walk_base visits."""
+    original, seen = compiler._walk_base, []
+
+    def recorded(walk, node, *args):
+        seen[-1].add(id(node))
+        return original(walk, node, *args)
+
+    monkeypatch.setattr(compiler, "_walk_base", recorded)
+    for q in queries:
+        seen.append(set())
+        query(tree, q)
+    monkeypatch.setattr(compiler, "_walk_base", original)
+    return seen
+
+
+def test_a_malformed_swapped_stage_raises_at_every_query_that_reaches_it(monkeypatch):
+    # A stage child that is a Leaf fails its index build, which stores no
+    # index, so the next query that reaches the stage raises as well.
+    built, queries = PINNED["pm-loop"][0]()
+    blob = serialize(built)
+    intact = deserialize(blob, built.dataset)
+    bad = deserialize(blob, built.dataset)
+    # The same stage in both loads, by walk order: of the stages some but not
+    # all queries reach, the one most reach.
+    intact_stages, bad_stages = (
+        [node for node in _nodes(tree.root) if isinstance(node, MerlinExplicit)]
+        for tree in (intact, bad)
+    )
+    visits = _visited_stages(intact, queries, monkeypatch)
+    reach = [sum(id(node) in ids for ids in visits) for node in intact_stages]
+    _, at = max((count, i) for i, count in enumerate(reach) if 0 < count < len(queries))
+    intact_stage, stage = intact_stages[at], bad_stages[at]
+    stage.children[next(iter(stage.children))] = Leaf((0,))
+    for q, ids in zip(queries, visits):
+        if id(intact_stage) in ids:
+            for _ in range(2):
+                with pytest.raises(TreeError, match="expected stored parity vectors"):
+                    query(bad, q)
+            assert stage.index is None
+        else:
+            assert query(bad, q) == query(intact, q)
+
+
 def test_sq_queries_past_the_enumeration_guard_are_exact():
     # A 24-bit query on the iterative path makes the small stage's bounded-weight
     # advice count exceed the builder's enumeration guard. The walker's XOR
