@@ -678,22 +678,6 @@ def test_stage_indexes_keep_reports_bytes_and_equality(monkeypatch):
     assert built.root == loaded.root == deserialize(blob, built.dataset).root
 
 
-def _visited_stages(tree, queries, monkeypatch) -> list[set[int]]:
-    """Per query, the ids of the nodes _walk_base visits."""
-    original, seen = compiler._walk_base, []
-
-    def recorded(walk, node, *args):
-        seen[-1].add(id(node))
-        return original(walk, node, *args)
-
-    monkeypatch.setattr(compiler, "_walk_base", recorded)
-    for q in queries:
-        seen.append(set())
-        query(tree, q)
-    monkeypatch.setattr(compiler, "_walk_base", original)
-    return seen
-
-
 def test_a_malformed_swapped_stage_raises_at_every_query_that_reaches_it(monkeypatch):
     # A stage child that is a Leaf fails its index build, which stores no
     # index, so the next query that reaches the stage raises as well.
@@ -707,7 +691,17 @@ def test_a_malformed_swapped_stage_raises_at_every_query_that_reaches_it(monkeyp
         [node for node in _nodes(tree.root) if isinstance(node, MerlinExplicit)]
         for tree in (intact, bad)
     )
-    visits = _visited_stages(intact, queries, monkeypatch)
+    original, visits = compiler._walk_base, []
+
+    def recorded(walk, node, *args):
+        visits[-1].add(id(node))
+        return original(walk, node, *args)
+
+    monkeypatch.setattr(compiler, "_walk_base", recorded)
+    for q in queries:
+        visits.append(set())
+        query(intact, q)
+    monkeypatch.undo()
     reach = [sum(id(node) in ids for ids in visits) for node in intact_stages]
     _, at = max((count, i) for i, count in enumerate(reach) if 0 < count < len(queries))
     intact_stage, stage = intact_stages[at], bad_stages[at]
